@@ -1,0 +1,316 @@
+//! The cdipack byte contract: a fixed corpus covering every wire verb,
+//! every nested enum variant, a populated metrics report, a snapshot, a
+//! shard delta and journal records must encode to exactly the bytes in
+//! `fixtures/golden.hex` (captured from the hand-written encoders before
+//! the codec was made declarative).
+
+use cdi_core::event::{Category, EventSpan, Target};
+use cdi_core::indicator::CdiBreakdown;
+use cdi_core::streaming::AccumulatorSnapshot;
+use cdi_serve::cdipack;
+use cdi_serve::proto::{
+    DrillOp, IngestItem, OutageScope, OutageSummary, Request, Response, TopEntry,
+};
+use cdi_serve::{
+    LifecycleEvent, MetricsReport, ResizeOutcome, ServiceSnapshot, ShardDelta, ShardMsg,
+    TargetCdi, TargetSnapshot,
+};
+use minispark::pack::PackWriter;
+use simfleet::Scope;
+
+fn span(name: &str, category: Category, start: i64, end: i64, weight: f64) -> EventSpan {
+    EventSpan { name: name.to_string(), category, start, end, weight }
+}
+
+/// A report with every counter distinct and every lifecycle event variant.
+fn populated_metrics() -> MetricsReport {
+    MetricsReport {
+        spans_ingested: 460_123,
+        spans_shed: 17,
+        late_dropped: 3,
+        late_clipped: 300,
+        rejected: 1,
+        queries: 9_000,
+        snapshots: 2,
+        shards: 3,
+        queue_depth: 129,
+        queue_depth_hwm: 1_024,
+        resizes: 2,
+        shard_restarts: 3,
+        shard_kills: 1,
+        shard_respawns: 1,
+        fence_epoch: 5,
+        events: vec![
+            LifecycleEvent::ResizeStarted { epoch: 1, from_shards: 2, to_shards: 3 },
+            LifecycleEvent::ResizeFinished {
+                epoch: 1,
+                from_shards: 2,
+                to_shards: 3,
+                moved_targets: 1_365,
+                drained_msgs: 200,
+            },
+            LifecycleEvent::ShardRestarted { epoch: 2, shard: 0, drained_msgs: 0 },
+            LifecycleEvent::ShardKilled { shard: 1 },
+            LifecycleEvent::ShardRespawned {
+                shard: 1,
+                restored_targets: 700,
+                replayed_msgs: 130,
+                replayed_bytes: 70_000,
+            },
+        ],
+    }
+}
+
+fn sample_targets() -> Vec<TargetSnapshot> {
+    let acc = |ps, wm, frozen, open: Vec<EventSpan>| AccumulatorSnapshot {
+        period_start: ps,
+        watermark: wm,
+        frozen,
+        open,
+        late_dropped: 2,
+        late_clipped: 7,
+    };
+    vec![
+        TargetSnapshot {
+            target: Target::Vm(3),
+            unavailability: acc(
+                0,
+                7_200_000,
+                123.456,
+                vec![span("vm_down", Category::Unavailability, 7_000_000, 7_900_000, 1.0)],
+            ),
+            performance: acc(0, 7_200_000, 0.25, vec![]),
+            control_plane: acc(0, 7_200_000, 0.0, vec![]),
+        },
+        TargetSnapshot {
+            target: Target::Nc(1),
+            unavailability: acc(0, 7_200_000, 0.0, vec![]),
+            performance: acc(
+                0,
+                7_200_000,
+                9.5,
+                vec![
+                    span("slow_io", Category::Performance, 6_900_000, 8_000_000, 0.5),
+                    span("slow_io", Category::Performance, 7_100_000, 7_300_000, 0.25),
+                ],
+            ),
+            control_plane: acc(
+                0,
+                7_200_000,
+                1.5,
+                vec![span("api_error", Category::ControlPlane, 7_150_000, 7_250_000, 0.125)],
+            ),
+        },
+    ]
+}
+
+fn sample_snapshot() -> ServiceSnapshot {
+    ServiceSnapshot {
+        period_start: 0,
+        watermark: 7_200_000,
+        targets: sample_targets(),
+        metrics: populated_metrics(),
+    }
+}
+
+fn sample_delta() -> ShardDelta {
+    ShardDelta {
+        from_watermark: 3_600_000,
+        to_watermark: 7_200_000,
+        rejected: 1,
+        advances: vec![4_000_000, 5_500_000, 7_200_000],
+        changed: sample_targets(),
+    }
+}
+
+fn journal() -> Vec<ShardMsg> {
+    vec![
+        ShardMsg::Span {
+            target: Target::Vm(4),
+            span: span("nic_flap", Category::Unavailability, 100, 900, 1.0),
+        },
+        ShardMsg::Watermark(1_000),
+        ShardMsg::Span {
+            target: Target::Nc(2),
+            span: span("slow_io", Category::Performance, 950, 1_400, 0.5),
+        },
+        ShardMsg::Crash,
+    ]
+}
+
+/// Every request verb, every `DrillOp`, every `Scope` level.
+fn requests() -> Vec<(&'static str, Request)> {
+    vec![
+        (
+            "req.ingest",
+            Request::Ingest {
+                target: Target::Vm(3),
+                span: span("slow_io", Category::Performance, 60_000, 120_000, 0.5),
+            },
+        ),
+        ("req.advance", Request::Advance { watermark: 3_600_000 }),
+        ("req.flush", Request::Flush),
+        ("req.point", Request::Point { target: Target::Nc(1) }),
+        ("req.topk", Request::TopK { k: 5, category: Category::Unavailability }),
+        ("req.rollup.region", Request::Rollup { scope: Scope::Region("r1".into()) }),
+        ("req.rollup.az", Request::Rollup { scope: Scope::Az("r1-a".into()) }),
+        ("req.rollup.cluster", Request::Rollup { scope: Scope::Cluster("r1-a-c0".into()) }),
+        ("req.rollup.nc", Request::Rollup { scope: Scope::Nc(7) }),
+        ("req.rollup.vm", Request::Rollup { scope: Scope::Vm(300) }),
+        ("req.metrics", Request::Metrics),
+        ("req.snapshot", Request::Snapshot),
+        ("req.resize", Request::Resize { shards: 8 }),
+        ("req.drill.kill", Request::Drill { op: DrillOp::KillShard { shard: 2 } }),
+        ("req.drill.rolling", Request::Drill { op: DrillOp::RollingRestart }),
+        ("req.drill.supervise", Request::Drill { op: DrillOp::Supervise }),
+        ("req.shutdown", Request::Shutdown),
+        (
+            "req.ingest_batch",
+            Request::IngestBatch {
+                items: vec![
+                    IngestItem {
+                        target: Target::Vm(1),
+                        span: span("a", Category::Unavailability, 10, 20, 1.0),
+                    },
+                    IngestItem {
+                        target: Target::Vm(1),
+                        span: span("a", Category::Unavailability, 15, 25, 1.0),
+                    },
+                    IngestItem {
+                        target: Target::Nc(2),
+                        span: span("b", Category::ControlPlane, 12, 13, 0.125),
+                    },
+                ],
+            },
+        ),
+        ("req.ingest_batch.empty", Request::IngestBatch { items: vec![] }),
+        ("req.diagnose", Request::Diagnose),
+    ]
+}
+
+/// Every response verb, both `Point` arms, every `OutageScope` level.
+fn responses() -> Vec<(&'static str, Response)> {
+    let outage = |scope, category, start, end| OutageSummary {
+        scope,
+        category,
+        start,
+        end,
+        ticks: 3,
+        spiking_vms: 16,
+        total_vms: 64,
+        spiking_ncs: 4,
+        concentration: 0.25,
+        confidence: 0.125,
+    };
+    vec![
+        ("resp.ok", Response::Ok),
+        ("resp.error", Response::Error { message: "bad".into() }),
+        ("resp.ingested", Response::Ingested { accepted: 5, shed: 1 }),
+        ("resp.point.none", Response::Point { found: None }),
+        (
+            "resp.point.some",
+            Response::Point {
+                found: Some(TargetCdi {
+                    target: Target::Vm(9),
+                    watermark: 1000,
+                    unavailability: 0.5,
+                    performance: 0.0,
+                    control_plane: 1.25,
+                }),
+            },
+        ),
+        (
+            "resp.topk",
+            Response::TopK {
+                entries: vec![
+                    TopEntry { target: Target::Vm(1), score: 0.25 },
+                    TopEntry { target: Target::Nc(200), score: 0.125 },
+                ],
+            },
+        ),
+        (
+            "resp.rollup",
+            Response::Rollup {
+                vm_count: 16,
+                breakdown: CdiBreakdown {
+                    total_service_time: 86_400_000,
+                    unavailability: 1.5,
+                    performance: 0.25,
+                    control_plane: 0.0,
+                },
+            },
+        ),
+        ("resp.metrics", Response::Metrics { report: populated_metrics() }),
+        ("resp.snapshot", Response::Snapshot { snapshot: sample_snapshot() }),
+        (
+            "resp.resized",
+            Response::Resized {
+                outcome: ResizeOutcome {
+                    epoch: 3,
+                    from_shards: 2,
+                    to_shards: 4,
+                    moved_targets: 17,
+                    drained_msgs: 120,
+                },
+            },
+        ),
+        ("resp.supervised", Response::Supervised { respawned: 1 }),
+        ("resp.shutting_down", Response::ShuttingDown),
+        ("resp.diagnoses.empty", Response::Diagnoses { outages: vec![] }),
+        (
+            "resp.diagnoses",
+            Response::Diagnoses {
+                outages: vec![
+                    outage(OutageScope::Vm(42), Category::Performance, -5, 5),
+                    outage(OutageScope::Nc(7), Category::Unavailability, 0, 900_000),
+                    outage(
+                        OutageScope::Cluster("r1-a0-c1".into()),
+                        Category::ControlPlane,
+                        18_000_000,
+                        20_700_000,
+                    ),
+                    outage(OutageScope::Az("r1-a1".into()), Category::Unavailability, 1, 2),
+                    outage(OutageScope::Region("r1".into()), Category::Performance, 3, 4),
+                    outage(OutageScope::Global, Category::ControlPlane, 0, 900_000),
+                ],
+            },
+        ),
+    ]
+}
+
+/// The whole corpus as `(name, encoded bytes)`, in fixture order.
+fn corpus_bytes() -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = Vec::new();
+    for (name, req) in requests() {
+        out.push((name.to_string(), cdipack::encode_request(&req)));
+    }
+    for (name, resp) in responses() {
+        out.push((name.to_string(), cdipack::encode_response(&resp)));
+    }
+    out.push(("snapshot".into(), cdipack::encode_snapshot(&sample_snapshot())));
+    out.push(("delta".into(), cdipack::encode_delta(&sample_delta())));
+    for (i, msg) in journal().iter().enumerate() {
+        let mut w = PackWriter::new();
+        cdipack::put_shard_msg(&mut w, msg);
+        out.push((format!("journal.{i}"), w.into_bytes()));
+    }
+    out
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn golden_bytes_are_reproduced() {
+    let golden: Vec<(&str, &str)> = include_str!("fixtures/golden.hex")
+        .lines()
+        .map(|l| l.split_once(' ').expect("fixture lines are `name hex`"))
+        .collect();
+    let got = corpus_bytes();
+    assert_eq!(got.len(), golden.len(), "corpus and fixture must list the same entries");
+    for ((name, bytes), (g_name, g_hex)) in got.iter().zip(&golden) {
+        assert_eq!(name, g_name, "corpus order changed");
+        assert_eq!(hex(bytes), *g_hex, "{name} no longer encodes to its golden bytes");
+    }
+}

@@ -141,3 +141,15 @@ fn catalog_speaks_both_dialects() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The `.cdp` byte layout is a persisted format: a fixed table must keep
+/// encoding to exactly the committed fixture (and the fixture must keep
+/// decoding to that table).
+#[test]
+fn cdp_fixture_is_reproduced() {
+    let golden: &[u8] = include_bytes!("fixtures/wide_table.cdp");
+    let t = wide_table(16);
+    assert_eq!(t.to_pack_bytes(), golden, "MSPK layout drifted from the committed fixture");
+    let metrics = ExecMetrics::default();
+    assert_eq!(Table::from_pack_bytes(golden).unwrap().into_table(&metrics), t);
+}
