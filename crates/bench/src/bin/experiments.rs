@@ -15,12 +15,10 @@
 //!   table5  A/B hypothesis tests (Case 8)           [--trials N, default 120]
 //!   fig11   per-action Performance Indicator distributions
 //!   all     everything above
-//!   bench   engine throughput probes (JSON lines)   [--iters N, default 3]
-//!   bench-serve  cdi-serve ingest/query probes      [--iters N] [--quick]
 //!   drill   cdi-serve chaos drill → BENCH_PR6.json  [--seed N] [--quick]
 //!   scenarios  detector scoring matrix → BENCH_PR8.json  [--seed N] [--quick]
 //!   diagnose  outage-diag gates → BENCH_PR10.json  [--seed N] [--quick]
-//!   bench-codec  cdipack codec gates → BENCH_PR9.json  [--iters N] [--quick] [--sizes-only]
+//!   dump <file.cdp>  print a stored cdipack table as JSON
 //! ```
 //!
 //! Each run also writes machine-readable JSON into `results/`.
@@ -35,19 +33,6 @@ fn main() {
     let run = |name: &str| cmd == "all" || cmd == name || (cmd == "fig11" && name == "table5");
     let mut ran_any = false;
 
-    // `bench` is deliberately NOT part of `all`: its output is wall-clock
-    // timing, which must never land in the byte-stable `results/` files.
-    if cmd == "bench" {
-        let iters = flag_value(&args, "--iters").unwrap_or(3) as usize;
-        run_bench(iters.max(1));
-        return;
-    }
-    if cmd == "bench-serve" {
-        let iters = flag_value(&args, "--iters").unwrap_or(3) as usize;
-        let quick = args.iter().any(|a| a == "--quick");
-        run_bench_serve(iters.max(1), quick);
-        return;
-    }
     if cmd == "drill" {
         let quick = args.iter().any(|a| a == "--quick");
         run_drill(seed, quick);
@@ -63,11 +48,8 @@ fn main() {
         run_diagnose(seed, quick);
         return;
     }
-    if cmd == "bench-codec" {
-        let iters = flag_value(&args, "--iters").unwrap_or(3) as usize;
-        let quick = args.iter().any(|a| a == "--quick");
-        let sizes_only = args.iter().any(|a| a == "--sizes-only");
-        run_bench_codec(iters.max(1), quick, sizes_only);
+    if cmd == "dump" {
+        run_dump(args.get(1).map(String::as_str));
         return;
     }
 
@@ -142,32 +124,6 @@ fn save_json(name: &str, value: &impl serde::Serialize) {
 
 fn heading(title: &str) {
     println!("\n==== {title} ====");
-}
-
-fn run_bench(iters: usize) {
-    eprintln!("(engine throughput probes, best of {iters} timed iterations each)");
-    let records = bench::perfbench::run(iters);
-    for r in &records {
-        // One JSON object per line so shell pipelines can pick workloads out.
-        match serde_json::to_string(r) {
-            Ok(line) => println!("{line}"),
-            Err(e) => eprintln!("bench record failed to serialize: {e}"),
-        }
-    }
-}
-
-fn run_bench_serve(iters: usize, quick: bool) {
-    eprintln!(
-        "(cdi-serve probes, best of {iters} timed iterations{})",
-        if quick { ", quick mode" } else { "" }
-    );
-    let records = bench::servebench::run(iters, quick);
-    for r in &records {
-        match serde_json::to_string(r) {
-            Ok(line) => println!("{line}"),
-            Err(e) => eprintln!("bench record failed to serialize: {e}"),
-        }
-    }
 }
 
 fn run_drill(seed: u64, quick: bool) {
@@ -349,67 +305,23 @@ fn run_diagnose(seed: u64, quick: bool) {
     }
 }
 
-fn run_bench_codec(iters: usize, quick: bool, sizes_only: bool) {
-    eprintln!(
-        "(cdipack codec gates, best of {iters} timed iterations{}{})",
-        if quick { ", quick mode" } else { "" },
-        if sizes_only { ", sizes only — deterministic report bytes" } else { "" },
-    );
-    let report = bench::codecbench::run(iters, quick, sizes_only);
-    println!(
-        "snapshot: {} targets, JSON {} B vs cdipack {} B → {:.2}x smaller",
-        report.snapshot_targets,
-        report.snapshot_json_bytes,
-        report.snapshot_pack_bytes,
-        report.snapshot_size_ratio,
-    );
-    if !sizes_only {
-        eprintln!(
-            "wire ingest ({} spans, 8 clients): cdipack batches {:.0} eps vs JSON lines {:.0} eps → {:.2}x",
-            report.wire_spans, report.wire_pack_eps, report.wire_json_eps, report.ingest_speedup,
-        );
-        eprintln!(
-            "in-process API: batched {:.0} eps vs per-span {:.0} eps (PR-5 reference box: {:.0} eps)",
-            report.api_batch_eps, report.api_per_span_eps, report.ingest_pr5_reference_eps,
-        );
-        eprintln!(
-            "restore (decode + rebuild, 8 shards): JSON {:.4}s vs cdipack {:.4}s → {:.2}x faster",
-            report.restore_json_secs, report.restore_pack_secs, report.restore_speedup,
-        );
-    }
-    println!(
-        "restore agreement: cross-shard max |CDI delta| {:.3e}, dialect restores bit-identical: {}",
-        report.cross_shard_max_abs_delta, report.dialects_bit_identical,
-    );
-    for g in &report.gates {
-        println!(
-            "gate {}: {}",
-            g.name,
-            if !g.evaluated {
-                "SKIPPED (sizes-only)".to_string()
-            } else if g.pass {
-                format!("PASS ({:.3} >= {:.3})", g.value, g.min)
-            } else {
-                format!("FAIL ({:.3} < {:.3})", g.value, g.min)
-            }
-        );
-    }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_PR9.json", json + "\n") {
-                eprintln!("cannot write BENCH_PR9.json: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote BENCH_PR9.json");
-        }
+/// The one hand-inspection path for persisted tables: decode a `.cdp`
+/// file and print it as JSON (schema + columns).
+fn run_dump(path: Option<&str>) {
+    let Some(path) = path else {
+        eprintln!("usage: experiments dump <file.cdp>");
+        std::process::exit(2);
+    };
+    let rendered = minispark::store::Table::from_pack(std::path::Path::new(path))
+        .map(|packed| packed.into_table(&minispark::exec::ExecMetrics::default()))
+        .map_err(|e| e.to_string())
+        .and_then(|table| serde_json::to_string_pretty(&table).map_err(|e| e.to_string()));
+    match rendered {
+        Ok(json) => println!("{json}"),
         Err(e) => {
-            eprintln!("codec report failed to serialize: {e}");
+            eprintln!("cannot dump {path}: {e}");
             std::process::exit(1);
         }
-    }
-    if !report.pass {
-        eprintln!("codec gate FAILED");
-        std::process::exit(1);
     }
 }
 

@@ -10,14 +10,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod codecbench;
 pub mod diagbench;
 pub mod drill;
 pub mod experiments;
-pub mod perfbench;
 pub mod report;
 pub mod scenarios;
-pub mod servebench;
 
 use cloudbot::pipeline::DailyPipeline;
 

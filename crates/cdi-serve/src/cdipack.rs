@@ -1,34 +1,41 @@
-//! The `cdipack` binary dialect of the serve layer: framed wire codec,
-//! columnar snapshots, durable checkpoints, and incremental deltas.
+//! `cdipack`, the one persisted and framed form of the serve layer.
 //!
-//! One compact encoding is shared by three layers that previously each
-//! paid serde-JSON costs:
+//! Every type that crosses the wire or lands in a durable image
+//! implements [`Pack`]: one `put` and one `take` over the byte primitives
+//! of [`minispark::pack`]. Scalars are type-directed (`u64`/`usize` →
+//! varint, `i64` → zigzag varint, `f64` → raw bits, `String` → length +
+//! UTF-8, `Vec<T>` → count + items, `Option<T>` → `0`/`1` tag), and the
+//! protocol structs and `u8`-tagged enums are *declared once* through
+//! `pack_struct!` / `pack_enum!` field lists, so an encoder and its
+//! decoder cannot drift. Adding a wire verb is one variant in
+//! [`crate::proto`], one line in the declaration below, and one
+//! `dispatch` arm in [`crate::server`].
 //!
-//! - **wire** — [`encode_request`]/[`encode_response`] turn the protocol
-//!   enums of [`crate::proto`] into tagged binary records, carried in
-//!   varint-length-prefixed frames ([`write_frame`]/[`read_frame`]). A
-//!   binary client announces itself with [`WIRE_MAGIC`], whose first byte
-//!   (`0xCD`) can never begin a JSON-lines request, so one listener speaks
-//!   both dialects (see [`crate::server`]).
-//! - **snapshot** — [`encode_snapshot`] lays a [`ServiceSnapshot`] out
-//!   *columnarly*: target kinds and ids (zigzag-delta over the sorted id
-//!   sequence), then per-category accumulator columns (timestamps as
-//!   zigzag deltas against the snapshot header, damage integrals as raw
-//!   f64 bits, late counters as varints), then one frame-wide span-name
-//!   dictionary and the span records. Encoding is deterministic and
-//!   bit-exact: equal states produce equal bytes.
-//! - **durability** — [`encode_checkpoint`] packs a shard's full
-//!   [`Checkpoint`], and [`ShardDelta`] + [`encode_delta`] pack the
-//!   *incremental* image: only the targets dirtied since the previous
-//!   checkpoint epoch, so a respawn replays a bounded delta chain instead
-//!   of a full-state dump ([`crate::shard`]).
+//! Three layouts are genuinely columnar and stay hand-written:
+//!
+//! - **ingest batches** (`Vec<IngestItem>`): target and span-name
+//!   dictionaries up front, then one compact record per item with start
+//!   timestamps delta-encoded across the batch;
+//! - **target snapshots** (inside [`ServiceSnapshot`] and [`ShardDelta`]):
+//!   kinds, zigzag-delta ids, per-category accumulator columns, one
+//!   span-name dictionary, then the open-span records;
+//! - **store tables** (`minispark::store::table`, which cannot see this
+//!   crate's trait and keeps its own `to_pack_bytes`/`from_pack_bytes`).
+//!
+//! A binary client announces itself with [`WIRE_MAGIC`], whose first byte
+//! (`0xCD`) can never begin a JSON-lines request, so one listener speaks
+//! both dialects (see [`crate::server`]); messages travel in
+//! varint-length-prefixed frames ([`write_frame`]/[`read_frame`]).
 //!
 //! Every decoder is total: truncated, bit-flipped, or over-length input
-//! yields a typed [`CdiError`], never a panic (stability-lint R1), and
-//! trailing bytes are rejected. The integer primitives come from
-//! [`minispark::pack`] and are cast-free (stability-lint R4 audits this
-//! module with an empty allowlist).
+//! yields a typed error, never a panic (stability-lint R1), and
+//! [`decode`] rejects trailing bytes. Inside this module failures are
+//! [`PackError`]s; they become [`CdiError`]s exactly once, at [`decode`]
+//! and [`read_frame`]. The module is cast-free (stability-lint R4 audits
+//! it with an empty allowlist).
 
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
 use std::io::{ErrorKind, Read, Write};
 
 use cdi_core::error::{CdiError, Result};
@@ -40,9 +47,9 @@ use minispark::pack::{PackError, PackReader, PackWriter};
 use simfleet::Scope;
 
 use crate::lifecycle::ResizeOutcome;
-use crate::metrics::{LifecycleEvent, MetricsReport, ShardTotals};
+use crate::metrics::{LifecycleEvent, MetricsReport};
 use crate::proto::{DrillOp, IngestItem, OutageScope, OutageSummary, Request, Response, TopEntry};
-use crate::shard::{Checkpoint, ShardMsg, TargetCdi, TargetSnapshot};
+use crate::shard::{ShardMsg, TargetCdi, TargetSnapshot};
 use crate::snapshot::ServiceSnapshot;
 
 /// Connection preamble a binary client sends before its first frame.
@@ -54,30 +61,76 @@ pub const WIRE_MAGIC: [u8; 4] = [0xCD, b'P', b'K', 0x01];
 /// Magic prefix of an encoded [`ServiceSnapshot`].
 pub const SNAPSHOT_MAGIC: &[u8] = b"CDSS\x01";
 
-/// Magic prefix of an encoded shard [`Checkpoint`] (a full durable base).
-pub const CHECKPOINT_MAGIC: &[u8] = b"CDCK\x01";
-
-/// Magic prefix of an encoded [`ShardDelta`] (one incremental epoch).
+/// Magic prefix of an encoded [`ShardDelta`] (one durability epoch, or a
+/// shard's full base image).
 pub const DELTA_MAGIC: &[u8] = b"CDSD\x01";
 
 /// Hard cap on one frame's payload (64 MiB): a corrupt or hostile length
 /// prefix is rejected before any allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+type PackResult<T> = std::result::Result<T, PackError>;
+
 /// Map a low-level pack error into the service's typed error.
 fn perr(e: PackError) -> CdiError {
     CdiError::invalid(format!("cdipack: {e}"))
-}
-
-/// Checked narrowing for decoded counts (audited: rejects, never wraps).
-fn to_usize(v: u64, what: &str) -> Result<usize> {
-    usize::try_from(v).map_err(|_| CdiError::invalid(format!("cdipack: {what} {v} overflows")))
 }
 
 /// Widening for encoded counts (usize always fits u64 on supported
 /// targets; saturate rather than wrap if it ever would not).
 fn as_u64(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
+}
+
+// ---------------------------------------------------------------------
+// The trait and its whole-buffer entry points
+// ---------------------------------------------------------------------
+
+/// A type with exactly one `cdipack` byte layout. `take` must accept
+/// every byte string `put` can produce and must return an error — never
+/// panic, never over-allocate — on anything else.
+pub trait Pack: Sized {
+    /// Append this value's encoding.
+    fn put(&self, w: &mut PackWriter);
+    /// Decode one value from the cursor, leaving it just past the value.
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self>;
+}
+
+/// Encode one value as a complete buffer (a frame payload, a snapshot
+/// file, a durable image). Deterministic: equal values give equal bytes.
+pub fn encode<T: Pack>(value: &T) -> Vec<u8> {
+    let mut w = PackWriter::new();
+    value.put(&mut w);
+    w.into_bytes()
+}
+
+/// Decode a complete buffer produced by [`encode`]. Trailing bytes are
+/// rejected; all failures are typed errors.
+pub fn decode<T: Pack>(bytes: &[u8]) -> Result<T> {
+    let mut r = PackReader::new(bytes);
+    let value = T::take(&mut r).map_err(perr)?;
+    r.finish().map_err(perr)?;
+    Ok(value)
+}
+
+/// Encode one request as a frame payload.
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    encode(req)
+}
+
+/// Decode one request frame payload. Trailing bytes are rejected.
+pub fn decode_request(bytes: &[u8]) -> Result<Request> {
+    decode(bytes)
+}
+
+/// Encode one response as a frame payload.
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    encode(resp)
+}
+
+/// Decode one response frame payload. Trailing bytes are rejected.
+pub fn decode_response(bytes: &[u8]) -> Result<Response> {
+    decode(bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -123,63 +176,170 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
             return Err(perr(PackError::VarintOverflow));
         }
     }
-    let len = to_usize(len, "frame length")?;
-    if len > MAX_FRAME_LEN {
-        return Err(perr(PackError::TooLarge { declared: as_u64(len), limit: as_u64(MAX_FRAME_LEN) }));
-    }
+    let limit = as_u64(MAX_FRAME_LEN);
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&n| n <= MAX_FRAME_LEN)
+        .ok_or_else(|| perr(PackError::TooLarge { declared: len, limit }))?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload).map_err(|e| CdiError::invalid(format!("cdipack frame: {e}")))?;
     Ok(Some(payload))
 }
 
 // ---------------------------------------------------------------------
-// Scalar building blocks
+// Type-directed primitives
 // ---------------------------------------------------------------------
 
-fn cat_tag(c: Category) -> u8 {
-    match c {
-        Category::Unavailability => 0,
-        Category::Performance => 1,
-        Category::ControlPlane => 2,
+impl Pack for u8 {
+    fn put(&self, w: &mut PackWriter) {
+        w.put_u8(*self);
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        r.take_u8()
     }
 }
 
-fn cat_from_tag(tag: u8) -> Result<Category> {
-    match tag {
-        0 => Ok(Category::Unavailability),
-        1 => Ok(Category::Performance),
-        2 => Ok(Category::ControlPlane),
-        _ => Err(perr(PackError::BadTag { context: "category", tag })),
+impl Pack for u64 {
+    fn put(&self, w: &mut PackWriter) {
+        w.put_varint(*self);
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        r.take_varint()
     }
 }
 
-fn put_target(w: &mut PackWriter, t: Target) {
-    match t {
-        Target::Vm(id) => {
-            w.put_u8(0);
-            w.put_varint(id);
+impl Pack for usize {
+    fn put(&self, w: &mut PackWriter) {
+        w.put_varint(as_u64(*self));
+    }
+    /// Checked narrowing: a count that does not fit is rejected, never
+    /// wrapped.
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        let declared = r.take_varint()?;
+        usize::try_from(declared)
+            .map_err(|_| PackError::TooLarge { declared, limit: as_u64(usize::MAX) })
+    }
+}
+
+impl Pack for i64 {
+    fn put(&self, w: &mut PackWriter) {
+        w.put_zigzag(*self);
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        r.take_zigzag()
+    }
+}
+
+impl Pack for f64 {
+    fn put(&self, w: &mut PackWriter) {
+        w.put_f64(*self);
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        r.take_f64()
+    }
+}
+
+impl Pack for String {
+    fn put(&self, w: &mut PackWriter) {
+        w.put_str(self);
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        r.take_str()
+    }
+}
+
+impl<T: Pack> Pack for Vec<T> {
+    fn put(&self, w: &mut PackWriter) {
+        self.len().put(w);
+        for item in self {
+            item.put(w);
         }
-        Target::Nc(id) => {
-            w.put_u8(1);
-            w.put_varint(id);
+    }
+    /// The count is validated against the bytes that remain (every item
+    /// occupies at least one), and the vector grows only as items decode,
+    /// so a hostile count cannot drive an allocation.
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        let n = r.take_len()?;
+        let mut out = Vec::new();
+        for _ in 0..n {
+            out.push(T::take(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Pack> Pack for Option<T> {
+    fn put(&self, w: &mut PackWriter) {
+        match self {
+            None => w.put_u8(0),
+            Some(v) => {
+                w.put_u8(1);
+                v.put(w);
+            }
+        }
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        match r.take_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::take(r)?)),
+            tag => Err(PackError::BadTag { context: "option", tag }),
         }
     }
 }
 
-fn take_target(r: &mut PackReader<'_>) -> Result<Target> {
-    let kind = r.take_u8().map_err(perr)?;
-    let id = r.take_varint().map_err(perr)?;
-    target_from(kind, id)
+// ---------------------------------------------------------------------
+// Field-list declarations
+// ---------------------------------------------------------------------
+
+/// `impl Pack` for a struct: the named fields, in wire order.
+macro_rules! pack_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Pack for $ty {
+            fn put(&self, w: &mut PackWriter) {
+                $( self.$field.put(w); )+
+            }
+            fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+                Ok($ty { $( $field: Pack::take(r)?, )+ })
+            }
+        }
+    };
 }
 
-fn target_from(kind: u8, id: u64) -> Result<Target> {
-    match kind {
-        0 => Ok(Target::Vm(id)),
-        1 => Ok(Target::Nc(id)),
-        _ => Err(perr(PackError::BadTag { context: "target kind", tag: kind })),
-    }
+/// `impl Pack` for an enum: a `u8` tag per variant, then the variant's
+/// fields in wire order. Variants are unit (`Flush`), single-value tuple
+/// (`Vm(id)`), or struct (`TopK { k, category }`); `$context` names the
+/// tag space in [`PackError::BadTag`].
+macro_rules! pack_enum {
+    ($ty:ident, $context:literal {
+        $( $tag:literal => $variant:ident $( ( $inner:ident ) )? $( { $($field:ident),+ } )? ),+ $(,)?
+    }) => {
+        impl Pack for $ty {
+            fn put(&self, w: &mut PackWriter) {
+                match self {
+                    $( $ty::$variant $( ( $inner ) )? $( { $($field),+ } )? => {
+                        w.put_u8($tag);
+                        $( $inner.put(w); )?
+                        $( $( $field.put(w); )+ )?
+                    } )+
+                }
+            }
+            fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+                Ok(match r.take_u8()? {
+                    $( $tag => $ty::$variant
+                        $( ( { let $inner = Pack::take(r)?; $inner } ) )?
+                        $( { $( $field: Pack::take(r)? ),+ } )?, )+
+                    tag => return Err(PackError::BadTag { context: $context, tag }),
+                })
+            }
+        }
+    };
 }
 
+pack_enum!(Category, "category" { 0 => Unavailability, 1 => Performance, 2 => ControlPlane });
+
+/// A target is a kind byte and an id. The columnar snapshot layout
+/// stores the two in separate columns, so the mapping is this pair of
+/// functions rather than a `pack_enum!` line.
 fn target_parts(t: Target) -> (u8, u64) {
     match t {
         Target::Vm(id) => (0, id),
@@ -187,74 +347,223 @@ fn target_parts(t: Target) -> (u8, u64) {
     }
 }
 
-/// Reinterpret a wrapping u64 difference as a signed delta (cast-free).
-fn id_delta(curr: u64, prev: u64) -> i64 {
-    i64::from_le_bytes(curr.wrapping_sub(prev).to_le_bytes())
-}
-
-/// Apply a signed delta to the previous id (cast-free).
-fn id_apply(prev: u64, delta: i64) -> u64 {
-    prev.wrapping_add(u64::from_le_bytes(delta.to_le_bytes()))
-}
-
-/// A span as a standalone record (wire `Ingest`, journal entries): name
-/// inline, timestamps zigzag-delta against `base`.
-fn put_span(w: &mut PackWriter, base: Timestamp, s: &EventSpan) {
-    w.put_str(&s.name);
-    w.put_u8(cat_tag(s.category));
-    w.put_zigzag(s.start.wrapping_sub(base));
-    w.put_zigzag(s.end.wrapping_sub(s.start));
-    w.put_f64(s.weight);
-}
-
-fn take_span(r: &mut PackReader<'_>, base: Timestamp) -> Result<EventSpan> {
-    let name = r.take_str().map_err(perr)?;
-    let category = cat_from_tag(r.take_u8().map_err(perr)?)?;
-    let start = base.wrapping_add(r.take_zigzag().map_err(perr)?);
-    let end = start.wrapping_add(r.take_zigzag().map_err(perr)?);
-    let weight = r.take_f64().map_err(perr)?;
-    Ok(EventSpan { name, category, start, end, weight })
-}
-
-fn put_scope(w: &mut PackWriter, scope: &Scope) {
-    match scope {
-        Scope::Region(name) => {
-            w.put_u8(0);
-            w.put_str(name);
-        }
-        Scope::Az(name) => {
-            w.put_u8(1);
-            w.put_str(name);
-        }
-        Scope::Cluster(name) => {
-            w.put_u8(2);
-            w.put_str(name);
-        }
-        Scope::Nc(id) => {
-            w.put_u8(3);
-            w.put_varint(*id);
-        }
-        Scope::Vm(id) => {
-            w.put_u8(4);
-            w.put_varint(*id);
-        }
+fn target_from(kind: u8, id: u64) -> PackResult<Target> {
+    match kind {
+        0 => Ok(Target::Vm(id)),
+        1 => Ok(Target::Nc(id)),
+        _ => Err(PackError::BadTag { context: "target kind", tag: kind }),
     }
 }
 
-fn take_scope(r: &mut PackReader<'_>) -> Result<Scope> {
-    let tag = r.take_u8().map_err(perr)?;
-    Ok(match tag {
-        0 => Scope::Region(r.take_str().map_err(perr)?),
-        1 => Scope::Az(r.take_str().map_err(perr)?),
-        2 => Scope::Cluster(r.take_str().map_err(perr)?),
-        3 => Scope::Nc(r.take_varint().map_err(perr)?),
-        4 => Scope::Vm(r.take_varint().map_err(perr)?),
-        _ => return Err(perr(PackError::BadTag { context: "scope", tag })),
-    })
+impl Pack for Target {
+    fn put(&self, w: &mut PackWriter) {
+        let (kind, id) = target_parts(*self);
+        kind.put(w);
+        id.put(w);
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        let kind = u8::take(r)?;
+        let id = u64::take(r)?;
+        target_from(kind, id)
+    }
+}
+
+pack_enum!(Scope, "scope" {
+    0 => Region(name), 1 => Az(name), 2 => Cluster(name), 3 => Nc(id), 4 => Vm(id),
+});
+
+pack_enum!(OutageScope, "outage scope" {
+    0 => Vm(id), 1 => Nc(id), 2 => Cluster(name), 3 => Az(name), 4 => Region(name), 5 => Global,
+});
+
+pack_enum!(DrillOp, "drill op" { 0 => KillShard { shard }, 1 => RollingRestart, 2 => Supervise });
+
+pack_enum!(ShardMsg, "shard msg" { 0 => Span { target, span }, 1 => Watermark(to), 2 => Crash });
+
+pack_enum!(LifecycleEvent, "lifecycle event" {
+    0 => ResizeStarted { epoch, from_shards, to_shards },
+    1 => ResizeFinished { epoch, from_shards, to_shards, moved_targets, drained_msgs },
+    2 => ShardRestarted { epoch, shard, drained_msgs },
+    3 => ShardKilled { shard },
+    4 => ShardRespawned { shard, restored_targets, replayed_msgs, replayed_bytes },
+});
+
+pack_struct!(MetricsReport {
+    spans_ingested, spans_shed, late_dropped, late_clipped, rejected, queries, snapshots,
+    shards, queue_depth, queue_depth_hwm, resizes, shard_restarts, shard_kills,
+    shard_respawns, fence_epoch, events,
+});
+
+pack_struct!(TargetCdi { target, watermark, unavailability, performance, control_plane });
+
+pack_struct!(TopEntry { target, score });
+
+pack_struct!(CdiBreakdown { total_service_time, unavailability, performance, control_plane });
+
+pack_struct!(ResizeOutcome { epoch, from_shards, to_shards, moved_targets, drained_msgs });
+
+pack_struct!(OutageSummary {
+    scope, category, start, end, ticks, spiking_vms, total_vms, spiking_ncs, concentration,
+    confidence,
+});
+
+pack_enum!(Request, "request" {
+    0 => Ingest { target, span },
+    1 => Advance { watermark },
+    2 => Flush,
+    3 => Point { target },
+    4 => TopK { k, category },
+    5 => Rollup { scope },
+    6 => Metrics,
+    7 => Snapshot,
+    8 => Resize { shards },
+    9 => Drill { op },
+    10 => Shutdown,
+    11 => IngestBatch { items },
+    12 => Diagnose,
+});
+
+pack_enum!(Response, "response" {
+    0 => Ok,
+    1 => Error { message },
+    2 => Ingested { accepted, shed },
+    3 => Point { found },
+    4 => TopK { entries },
+    5 => Rollup { vm_count, breakdown },
+    6 => Metrics { report },
+    7 => Snapshot { snapshot },
+    8 => Resized { outcome },
+    9 => Supervised { respawned },
+    10 => ShuttingDown,
+    11 => Diagnoses { outages },
+});
+
+// ---------------------------------------------------------------------
+// Spans and dictionaries (shared by the hand-written layouts)
+// ---------------------------------------------------------------------
+
+/// Everything of a span after its name: category, start as a zigzag delta
+/// against `base`, duration, weight bits.
+fn put_span_body(w: &mut PackWriter, base: Timestamp, s: &EventSpan) {
+    s.category.put(w);
+    s.start.wrapping_sub(base).put(w);
+    s.end.wrapping_sub(s.start).put(w);
+    s.weight.put(w);
+}
+
+fn take_span_body(r: &mut PackReader<'_>, base: Timestamp, name: String) -> PackResult<EventSpan> {
+    let category = Category::take(r)?;
+    let start = base.wrapping_add(i64::take(r)?);
+    let end = start.wrapping_add(i64::take(r)?);
+    let weight = f64::take(r)?;
+    Ok(EventSpan { name, category, start, end, weight })
+}
+
+/// A span as a standalone record (wire `Ingest`, journal entries): name
+/// inline, start absolute.
+impl Pack for EventSpan {
+    fn put(&self, w: &mut PackWriter) {
+        self.name.put(w);
+        put_span_body(w, 0, self);
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        let name = String::take(r)?;
+        take_span_body(r, 0, name)
+    }
+}
+
+/// First-seen-order dictionary: deterministic, so equal inputs encode to
+/// equal bytes.
+struct Dict<K> {
+    keys: Vec<K>,
+    index: HashMap<K, u64>,
+}
+
+impl<K: Copy + Eq + Hash> Dict<K> {
+    fn new() -> Self {
+        Dict { keys: Vec::new(), index: HashMap::new() }
+    }
+
+    fn intern(&mut self, key: K) {
+        let next = as_u64(self.keys.len());
+        // bound: one entry per distinct key in the value being encoded
+        if let Entry::Vacant(slot) = self.index.entry(key) {
+            slot.insert(next);
+            // bound: same — the dictionary is dropped with the encoder call
+            self.keys.push(key);
+        }
+    }
+
+    fn index_of(&self, key: K) -> u64 {
+        self.index.get(&key).copied().unwrap_or(0)
+    }
+}
+
+/// Read a dictionary index and resolve it.
+fn take_indexed<T: Clone>(r: &mut PackReader<'_>, dict: &[T], what: &str) -> PackResult<T> {
+    let idx = usize::take(r)?;
+    dict.get(idx)
+        .cloned()
+        .ok_or_else(|| PackError::Malformed(format!("{what} index {idx} out of range")))
+}
+
+fn put_names(w: &mut PackWriter, names: &[&str]) {
+    names.len().put(w);
+    for name in names {
+        w.put_str(name);
+    }
 }
 
 // ---------------------------------------------------------------------
-// Columnar target snapshots (shared by snapshot / checkpoint / delta)
+// Ingest batches
+// ---------------------------------------------------------------------
+
+/// Batch layout: item count, target dictionary, span-name dictionary,
+/// then one compact record per item (dictionary indices, start delta
+/// against the previous item, duration, weight).
+///
+/// This is *the* encoding of `Vec<IngestItem>`; `IngestItem` deliberately
+/// has no `Pack` impl of its own, so the generic count + items layout
+/// does not apply to it.
+impl Pack for Vec<IngestItem> {
+    fn put(&self, w: &mut PackWriter) {
+        let mut targets: Dict<Target> = Dict::new();
+        let mut names: Dict<&str> = Dict::new();
+        for item in self {
+            targets.intern(item.target);
+            names.intern(item.span.name.as_str());
+        }
+        self.len().put(w);
+        targets.keys.put(w);
+        put_names(w, &names.keys);
+        let mut prev_start: Timestamp = 0;
+        for item in self {
+            targets.index_of(item.target).put(w);
+            names.index_of(item.span.name.as_str()).put(w);
+            put_span_body(w, prev_start, &item.span);
+            prev_start = item.span.start;
+        }
+    }
+
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        let n_items = r.take_len()?;
+        let targets = Vec::<Target>::take(r)?;
+        let names = Vec::<String>::take(r)?;
+        let mut items = Vec::new();
+        let mut prev_start: Timestamp = 0;
+        for _ in 0..n_items {
+            let target = take_indexed(r, &targets, "target")?;
+            let name = take_indexed(r, &names, "name")?;
+            let span = take_span_body(r, prev_start, name)?;
+            prev_start = span.start;
+            items.push(IngestItem { target, span });
+        }
+        Ok(items)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Columnar target snapshots (shared by snapshot and delta)
 // ---------------------------------------------------------------------
 
 fn acc_of(t: &TargetSnapshot, cat: usize) -> &AccumulatorSnapshot {
@@ -271,6 +580,16 @@ fn acc_mut(t: &mut TargetSnapshot, cat: usize) -> &mut AccumulatorSnapshot {
         1 => &mut t.performance,
         _ => &mut t.control_plane,
     }
+}
+
+/// Reinterpret a wrapping u64 difference as a signed delta (cast-free).
+fn id_delta(curr: u64, prev: u64) -> i64 {
+    i64::from_le_bytes(curr.wrapping_sub(prev).to_le_bytes())
+}
+
+/// Apply a signed delta to the previous id (cast-free).
+fn id_apply(prev: u64, delta: i64) -> u64 {
+    prev.wrapping_add(u64::from_le_bytes(delta.to_le_bytes()))
 }
 
 /// Columnar layout for a run of [`TargetSnapshot`]s:
@@ -298,65 +617,35 @@ fn put_target_snapshots(
     base_wm: Timestamp,
     targets: &[TargetSnapshot],
 ) {
-    w.put_varint(as_u64(targets.len()));
+    targets.len().put(w);
     for t in targets {
-        let (kind, _) = target_parts(t.target);
-        w.put_u8(kind);
+        target_parts(t.target).0.put(w);
     }
     let mut prev_id = 0u64;
     for t in targets {
-        let (_, id) = target_parts(t.target);
-        w.put_zigzag(id_delta(id, prev_id));
+        let id = target_parts(t.target).1;
+        id_delta(id, prev_id).put(w);
         prev_id = id;
     }
     for cat in 0..3 {
-        for t in targets {
-            w.put_zigzag(acc_of(t, cat).period_start.wrapping_sub(base_ps));
-        }
-        for t in targets {
-            w.put_zigzag(acc_of(t, cat).watermark.wrapping_sub(base_wm));
-        }
-        for t in targets {
-            w.put_f64(acc_of(t, cat).frozen);
-        }
-        for t in targets {
-            w.put_varint(as_u64(acc_of(t, cat).late_dropped));
-        }
-        for t in targets {
-            w.put_varint(as_u64(acc_of(t, cat).late_clipped));
-        }
-        for t in targets {
-            w.put_varint(as_u64(acc_of(t, cat).open.len()));
-        }
+        let accs = || targets.iter().map(move |t| acc_of(t, cat));
+        accs().for_each(|a| a.period_start.wrapping_sub(base_ps).put(w));
+        accs().for_each(|a| a.watermark.wrapping_sub(base_wm).put(w));
+        accs().for_each(|a| a.frozen.put(w));
+        accs().for_each(|a| a.late_dropped.put(w));
+        accs().for_each(|a| a.late_clipped.put(w));
+        accs().for_each(|a| a.open.len().put(w));
     }
-    // Frame-wide span-name dictionary, first-seen order.
-    let mut dict: Vec<&str> = Vec::new();
-    let mut index: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-    for cat in 0..3 {
-        for t in targets {
-            for s in &acc_of(t, cat).open {
-                index.entry(s.name.as_str()).or_insert_with(|| {
-                    // bound: one entry per distinct span name in the input
-                    dict.push(s.name.as_str());
-                    as_u64(dict.len().saturating_sub(1))
-                });
-            }
-        }
+    let by_category = || (0..3).flat_map(|cat| targets.iter().map(move |t| acc_of(t, cat)));
+    let mut names: Dict<&str> = Dict::new();
+    for s in by_category().flat_map(|acc| &acc.open) {
+        names.intern(s.name.as_str());
     }
-    w.put_varint(as_u64(dict.len()));
-    for name in &dict {
-        w.put_str(name);
-    }
-    for cat in 0..3 {
-        for t in targets {
-            let acc = acc_of(t, cat);
-            for s in &acc.open {
-                w.put_varint(*index.get(s.name.as_str()).unwrap_or(&0));
-                w.put_u8(cat_tag(s.category));
-                w.put_zigzag(s.start.wrapping_sub(acc.watermark));
-                w.put_zigzag(s.end.wrapping_sub(s.start));
-                w.put_f64(s.weight);
-            }
+    put_names(w, &names.keys);
+    for acc in by_category() {
+        for s in &acc.open {
+            names.index_of(s.name.as_str()).put(w);
+            put_span_body(w, acc.watermark, s);
         }
     }
 }
@@ -365,134 +654,101 @@ fn take_target_snapshots(
     r: &mut PackReader<'_>,
     base_ps: Timestamp,
     base_wm: Timestamp,
-) -> Result<Vec<TargetSnapshot>> {
-    let n = r.take_len().map_err(perr)?;
-    let kinds = r.take_bytes(n).map_err(perr)?.to_vec();
-    let mut ids = Vec::with_capacity(n);
+) -> PackResult<Vec<TargetSnapshot>> {
+    let n = r.take_len()?;
+    let kinds = r.take_bytes(n)?;
+    let blank = AccumulatorSnapshot {
+        period_start: base_ps,
+        watermark: base_wm,
+        frozen: 0.0,
+        open: Vec::new(),
+        late_dropped: 0,
+        late_clipped: 0,
+    };
+    let mut targets = Vec::new();
     let mut prev_id = 0u64;
-    for _ in 0..n {
-        let id = id_apply(prev_id, r.take_zigzag().map_err(perr)?);
-        // bound: exactly `n` ids, already validated against input length
-        ids.push(id);
+    for &kind in kinds {
+        let id = id_apply(prev_id, i64::take(r)?);
         prev_id = id;
-    }
-    let mut targets = Vec::with_capacity(n);
-    for (kind, id) in kinds.iter().zip(&ids) {
-        let blank = AccumulatorSnapshot {
-            period_start: base_ps,
-            watermark: base_wm,
-            frozen: 0.0,
-            open: Vec::new(),
-            late_dropped: 0,
-            late_clipped: 0,
-        };
-        // bound: exactly `n` targets
         targets.push(TargetSnapshot {
-            target: target_from(*kind, *id)?,
+            target: target_from(kind, id)?,
             unavailability: blank.clone(),
             performance: blank.clone(),
-            control_plane: blank,
+            control_plane: blank.clone(),
         });
     }
-    let mut open_counts = vec![0u64; n.saturating_mul(3)];
+    let mut open_counts = vec![[0u64; 3]; targets.len()];
     for cat in 0..3 {
-        for t in targets.iter_mut() {
-            acc_mut(t, cat).period_start = base_ps.wrapping_add(r.take_zigzag().map_err(perr)?);
+        for t in &mut targets {
+            acc_mut(t, cat).period_start = base_ps.wrapping_add(i64::take(r)?);
         }
-        for t in targets.iter_mut() {
-            acc_mut(t, cat).watermark = base_wm.wrapping_add(r.take_zigzag().map_err(perr)?);
+        for t in &mut targets {
+            acc_mut(t, cat).watermark = base_wm.wrapping_add(i64::take(r)?);
         }
-        for t in targets.iter_mut() {
-            acc_mut(t, cat).frozen = r.take_f64().map_err(perr)?;
+        for t in &mut targets {
+            acc_mut(t, cat).frozen = f64::take(r)?;
         }
-        for t in targets.iter_mut() {
-            acc_mut(t, cat).late_dropped =
-                to_usize(r.take_varint().map_err(perr)?, "late_dropped")?;
+        for t in &mut targets {
+            acc_mut(t, cat).late_dropped = usize::take(r)?;
         }
-        for t in targets.iter_mut() {
-            acc_mut(t, cat).late_clipped =
-                to_usize(r.take_varint().map_err(perr)?, "late_clipped")?;
+        for t in &mut targets {
+            acc_mut(t, cat).late_clipped = usize::take(r)?;
         }
-        for i in 0..n {
-            open_counts[i.saturating_mul(3).saturating_add(cat)] =
-                r.take_varint().map_err(perr)?;
+        for counts in &mut open_counts {
+            counts[cat] = u64::take(r)?;
         }
     }
-    let dict_len = r.take_len().map_err(perr)?;
-    let mut dict = Vec::new();
-    for _ in 0..dict_len {
-        // bound: dictionary entries are length-validated strings from the input
-        dict.push(r.take_str().map_err(perr)?);
-    }
+    let names = Vec::<String>::take(r)?;
     for cat in 0..3 {
-        for (i, t) in targets.iter_mut().enumerate() {
-            let acc = match cat {
-                0 => &mut t.unavailability,
-                1 => &mut t.performance,
-                _ => &mut t.control_plane,
-            };
-            let count = open_counts[i.saturating_mul(3).saturating_add(cat)];
-            for _ in 0..count {
-                let idx = to_usize(r.take_varint().map_err(perr)?, "name index")?;
-                let name = dict
-                    .get(idx)
-                    .ok_or_else(|| {
-                        CdiError::invalid(format!("cdipack: span name index {idx} out of range"))
-                    })?
-                    .clone();
-                let category = cat_from_tag(r.take_u8().map_err(perr)?)?;
-                let start = acc.watermark.wrapping_add(r.take_zigzag().map_err(perr)?);
-                let end = start.wrapping_add(r.take_zigzag().map_err(perr)?);
-                let weight = r.take_f64().map_err(perr)?;
-                // bound: one span per decoded record, truncation errors first
-                acc.open.push(EventSpan { name, category, start, end, weight });
+        for (t, counts) in targets.iter_mut().zip(&open_counts) {
+            let acc = acc_mut(t, cat);
+            for _ in 0..counts[cat] {
+                let name = take_indexed(r, &names, "span name")?;
+                acc.open.push(take_span_body(r, acc.watermark, name)?);
             }
         }
     }
     Ok(targets)
 }
 
-// ---------------------------------------------------------------------
-// ServiceSnapshot
-// ---------------------------------------------------------------------
-
-/// Encode a full service snapshot. Deterministic: equal snapshots (the
-/// target list is sorted by the service) produce identical bytes.
-pub fn encode_snapshot(snap: &ServiceSnapshot) -> Vec<u8> {
-    let mut w = PackWriter::with_capacity(256 + snap.targets.len().saturating_mul(64));
-    w.put_bytes(SNAPSHOT_MAGIC);
-    w.put_zigzag(snap.period_start);
-    w.put_zigzag(snap.watermark);
-    put_target_snapshots(&mut w, snap.period_start, snap.watermark, &snap.targets);
-    put_metrics(&mut w, &snap.metrics);
-    w.into_bytes()
-}
-
-/// Decode a snapshot encoded by [`encode_snapshot`]. Trailing bytes are
-/// rejected; all failures are typed errors.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<ServiceSnapshot> {
-    let mut r = PackReader::new(bytes);
-    r.expect_magic(SNAPSHOT_MAGIC).map_err(perr)?;
-    let period_start = r.take_zigzag().map_err(perr)?;
-    let watermark = r.take_zigzag().map_err(perr)?;
-    let targets = take_target_snapshots(&mut r, period_start, watermark)?;
-    let metrics = take_metrics(&mut r)?;
-    r.finish().map_err(perr)?;
-    Ok(ServiceSnapshot { period_start, watermark, targets, metrics })
+/// Header timestamps, the columnar targets against them, then the
+/// metrics report. The target list is sorted by the service, so equal
+/// snapshots produce identical bytes.
+impl Pack for ServiceSnapshot {
+    fn put(&self, w: &mut PackWriter) {
+        w.put_bytes(SNAPSHOT_MAGIC);
+        self.period_start.put(w);
+        self.watermark.put(w);
+        put_target_snapshots(w, self.period_start, self.watermark, &self.targets);
+        self.metrics.put(w);
+    }
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        r.expect_magic(SNAPSHOT_MAGIC)?;
+        let period_start = i64::take(r)?;
+        let watermark = i64::take(r)?;
+        let targets = take_target_snapshots(r, period_start, watermark)?;
+        let metrics = MetricsReport::take(r)?;
+        Ok(ServiceSnapshot { period_start, watermark, targets, metrics })
+    }
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint + delta (shard durability)
+// ShardDelta (the shard's durable image)
 // ---------------------------------------------------------------------
 
-/// One incremental durability epoch: the watermark interval it covers,
+/// One durability epoch of a shard: the watermark interval it covers,
 /// the exact sequence of accepted watermark advances inside it, and the
-/// full snapshots of only the targets dirtied inside it. Applying a base
-/// checkpoint plus its delta chain reproduces the live state *bit-exactly*:
+/// full snapshots of only the targets dirtied inside it. Applying a chain
+/// of deltas to an empty state reproduces the live state *bit-exactly*:
 /// untouched targets replay the identical `advance_watermark` call
 /// sequence (floating-point addition is not associative, so a single
 /// `from → to` jump would not be bit-identical), and touched targets are
 /// replaced outright by their `to_watermark` snapshots.
+///
+/// A shard's full base image is the same shape cut from an empty state:
+/// `from_watermark` = the period start, `advances` = the one jump to the
+/// current watermark, `changed` = every target (see
+/// [`crate::shard::ShardState`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardDelta {
     /// Shard watermark when the previous epoch closed.
@@ -509,866 +765,42 @@ pub struct ShardDelta {
     pub changed: Vec<TargetSnapshot>,
 }
 
-/// Encode a full shard checkpoint (the durable base image).
-pub fn encode_checkpoint(period_start: Timestamp, ck: &Checkpoint) -> Vec<u8> {
-    let mut w = PackWriter::with_capacity(64 + ck.targets.len().saturating_mul(64));
-    w.put_bytes(CHECKPOINT_MAGIC);
-    w.put_zigzag(period_start);
-    w.put_zigzag(ck.watermark);
-    w.put_varint(ck.rejected);
-    put_target_snapshots(&mut w, period_start, ck.watermark, &ck.targets);
-    w.into_bytes()
-}
-
-/// Decode a checkpoint encoded by [`encode_checkpoint`], returning the
-/// period start it was taken under alongside the checkpoint itself.
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<(Timestamp, Checkpoint)> {
-    let mut r = PackReader::new(bytes);
-    r.expect_magic(CHECKPOINT_MAGIC).map_err(perr)?;
-    let period_start = r.take_zigzag().map_err(perr)?;
-    let watermark = r.take_zigzag().map_err(perr)?;
-    let rejected = r.take_varint().map_err(perr)?;
-    let targets = take_target_snapshots(&mut r, period_start, watermark)?;
-    r.finish().map_err(perr)?;
-    Ok((period_start, Checkpoint { watermark, rejected, targets }))
-}
-
-/// Encode one incremental epoch.
-pub fn encode_delta(d: &ShardDelta) -> Vec<u8> {
-    let mut w = PackWriter::with_capacity(64 + d.changed.len().saturating_mul(64));
-    w.put_bytes(DELTA_MAGIC);
-    w.put_zigzag(d.from_watermark);
-    w.put_zigzag(d.to_watermark);
-    w.put_varint(d.rejected);
-    w.put_varint(as_u64(d.advances.len()));
-    let mut prev = d.from_watermark;
-    for &adv in &d.advances {
-        w.put_zigzag(adv.wrapping_sub(prev));
-        prev = adv;
+/// Header, the advances as a zigzag delta chain from `from_watermark`,
+/// then the columnar targets against the epoch's two watermarks.
+impl Pack for ShardDelta {
+    fn put(&self, w: &mut PackWriter) {
+        w.put_bytes(DELTA_MAGIC);
+        self.from_watermark.put(w);
+        self.to_watermark.put(w);
+        self.rejected.put(w);
+        self.advances.len().put(w);
+        let mut prev = self.from_watermark;
+        for &adv in &self.advances {
+            adv.wrapping_sub(prev).put(w);
+            prev = adv;
+        }
+        put_target_snapshots(w, self.from_watermark, self.to_watermark, &self.changed);
     }
-    put_target_snapshots(&mut w, d.from_watermark, d.to_watermark, &d.changed);
-    w.into_bytes()
-}
-
-/// Decode one incremental epoch encoded by [`encode_delta`].
-pub fn decode_delta(bytes: &[u8]) -> Result<ShardDelta> {
-    let mut r = PackReader::new(bytes);
-    r.expect_magic(DELTA_MAGIC).map_err(perr)?;
-    let from_watermark = r.take_zigzag().map_err(perr)?;
-    let to_watermark = r.take_zigzag().map_err(perr)?;
-    let rejected = r.take_varint().map_err(perr)?;
-    let n_adv = to_usize(r.take_varint().map_err(perr)?, "delta advance count")?;
-    // bound: one entry per accepted watermark advance in one epoch
-    let mut advances = Vec::new();
-    let mut prev = from_watermark;
-    for _ in 0..n_adv {
-        let adv = prev.wrapping_add(r.take_zigzag().map_err(perr)?);
-        advances.push(adv);
-        prev = adv;
+    fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
+        r.expect_magic(DELTA_MAGIC)?;
+        let from_watermark = i64::take(r)?;
+        let to_watermark = i64::take(r)?;
+        let rejected = u64::take(r)?;
+        let n_adv = r.take_len()?;
+        let mut advances = Vec::new();
+        let mut prev = from_watermark;
+        for _ in 0..n_adv {
+            prev = prev.wrapping_add(i64::take(r)?);
+            advances.push(prev);
+        }
+        let changed = take_target_snapshots(r, from_watermark, to_watermark)?;
+        Ok(ShardDelta { from_watermark, to_watermark, rejected, advances, changed })
     }
-    let changed = take_target_snapshots(&mut r, from_watermark, to_watermark)?;
-    r.finish().map_err(perr)?;
-    Ok(ShardDelta { from_watermark, to_watermark, rejected, advances, changed })
-}
-
-// ---------------------------------------------------------------------
-// ShardMsg (journal records)
-// ---------------------------------------------------------------------
-
-/// Append one journal record to an open writer (records concatenate; the
-/// journal is a stream, not a framed document).
-pub fn put_shard_msg(w: &mut PackWriter, msg: &ShardMsg) {
-    match msg {
-        ShardMsg::Span { target, span } => {
-            w.put_u8(0);
-            put_target(w, *target);
-            put_span(w, 0, span);
-        }
-        ShardMsg::Watermark(to) => {
-            w.put_u8(1);
-            w.put_zigzag(*to);
-        }
-        ShardMsg::Crash => w.put_u8(2),
-    }
-}
-
-/// Decode the next journal record from an open reader.
-pub fn take_shard_msg(r: &mut PackReader<'_>) -> Result<ShardMsg> {
-    let tag = r.take_u8().map_err(perr)?;
-    Ok(match tag {
-        0 => {
-            let target = take_target(r)?;
-            let span = take_span(r, 0)?;
-            ShardMsg::Span { target, span }
-        }
-        1 => ShardMsg::Watermark(r.take_zigzag().map_err(perr)?),
-        2 => ShardMsg::Crash,
-        _ => return Err(perr(PackError::BadTag { context: "shard msg", tag })),
-    })
-}
-
-// ---------------------------------------------------------------------
-// MetricsReport
-// ---------------------------------------------------------------------
-
-fn put_metrics(w: &mut PackWriter, m: &MetricsReport) {
-    w.put_varint(m.spans_ingested);
-    w.put_varint(m.spans_shed);
-    w.put_varint(m.late_dropped);
-    w.put_varint(m.late_clipped);
-    w.put_varint(m.rejected);
-    w.put_varint(m.queries);
-    w.put_varint(m.snapshots);
-    w.put_varint(as_u64(m.shards));
-    w.put_varint(m.queue_depth);
-    w.put_varint(m.queue_depth_hwm);
-    w.put_varint(m.resizes);
-    w.put_varint(m.shard_restarts);
-    w.put_varint(m.shard_kills);
-    w.put_varint(m.shard_respawns);
-    w.put_varint(m.fence_epoch);
-    w.put_varint(as_u64(m.events.len()));
-    for e in &m.events {
-        put_event(w, e);
-    }
-}
-
-fn take_metrics(r: &mut PackReader<'_>) -> Result<MetricsReport> {
-    let spans_ingested = r.take_varint().map_err(perr)?;
-    let spans_shed = r.take_varint().map_err(perr)?;
-    let late_dropped = r.take_varint().map_err(perr)?;
-    let late_clipped = r.take_varint().map_err(perr)?;
-    let rejected = r.take_varint().map_err(perr)?;
-    let queries = r.take_varint().map_err(perr)?;
-    let snapshots = r.take_varint().map_err(perr)?;
-    let shards = to_usize(r.take_varint().map_err(perr)?, "shards")?;
-    let queue_depth = r.take_varint().map_err(perr)?;
-    let queue_depth_hwm = r.take_varint().map_err(perr)?;
-    let resizes = r.take_varint().map_err(perr)?;
-    let shard_restarts = r.take_varint().map_err(perr)?;
-    let shard_kills = r.take_varint().map_err(perr)?;
-    let shard_respawns = r.take_varint().map_err(perr)?;
-    let fence_epoch = r.take_varint().map_err(perr)?;
-    let n = r.take_len().map_err(perr)?;
-    let mut events = Vec::new();
-    for _ in 0..n {
-        // bound: one event per decoded record, truncation errors first
-        events.push(take_event(r)?);
-    }
-    Ok(MetricsReport {
-        spans_ingested,
-        spans_shed,
-        late_dropped,
-        late_clipped,
-        rejected,
-        queries,
-        snapshots,
-        shards,
-        queue_depth,
-        queue_depth_hwm,
-        resizes,
-        shard_restarts,
-        shard_kills,
-        shard_respawns,
-        fence_epoch,
-        events,
-    })
-}
-
-fn put_event(w: &mut PackWriter, e: &LifecycleEvent) {
-    match e {
-        LifecycleEvent::ResizeStarted { epoch, from_shards, to_shards } => {
-            w.put_u8(0);
-            w.put_varint(*epoch);
-            w.put_varint(as_u64(*from_shards));
-            w.put_varint(as_u64(*to_shards));
-        }
-        LifecycleEvent::ResizeFinished { epoch, from_shards, to_shards, moved_targets, drained_msgs } => {
-            w.put_u8(1);
-            w.put_varint(*epoch);
-            w.put_varint(as_u64(*from_shards));
-            w.put_varint(as_u64(*to_shards));
-            w.put_varint(as_u64(*moved_targets));
-            w.put_varint(*drained_msgs);
-        }
-        LifecycleEvent::ShardRestarted { epoch, shard, drained_msgs } => {
-            w.put_u8(2);
-            w.put_varint(*epoch);
-            w.put_varint(as_u64(*shard));
-            w.put_varint(*drained_msgs);
-        }
-        LifecycleEvent::ShardKilled { shard } => {
-            w.put_u8(3);
-            w.put_varint(as_u64(*shard));
-        }
-        LifecycleEvent::ShardRespawned { shard, restored_targets, replayed_msgs, replayed_bytes } => {
-            w.put_u8(4);
-            w.put_varint(as_u64(*shard));
-            w.put_varint(as_u64(*restored_targets));
-            w.put_varint(*replayed_msgs);
-            w.put_varint(*replayed_bytes);
-        }
-    }
-}
-
-fn take_event(r: &mut PackReader<'_>) -> Result<LifecycleEvent> {
-    let tag = r.take_u8().map_err(perr)?;
-    Ok(match tag {
-        0 => LifecycleEvent::ResizeStarted {
-            epoch: r.take_varint().map_err(perr)?,
-            from_shards: to_usize(r.take_varint().map_err(perr)?, "from_shards")?,
-            to_shards: to_usize(r.take_varint().map_err(perr)?, "to_shards")?,
-        },
-        1 => LifecycleEvent::ResizeFinished {
-            epoch: r.take_varint().map_err(perr)?,
-            from_shards: to_usize(r.take_varint().map_err(perr)?, "from_shards")?,
-            to_shards: to_usize(r.take_varint().map_err(perr)?, "to_shards")?,
-            moved_targets: to_usize(r.take_varint().map_err(perr)?, "moved_targets")?,
-            drained_msgs: r.take_varint().map_err(perr)?,
-        },
-        2 => LifecycleEvent::ShardRestarted {
-            epoch: r.take_varint().map_err(perr)?,
-            shard: to_usize(r.take_varint().map_err(perr)?, "shard")?,
-            drained_msgs: r.take_varint().map_err(perr)?,
-        },
-        3 => LifecycleEvent::ShardKilled {
-            shard: to_usize(r.take_varint().map_err(perr)?, "shard")?,
-        },
-        4 => LifecycleEvent::ShardRespawned {
-            shard: to_usize(r.take_varint().map_err(perr)?, "shard")?,
-            restored_targets: to_usize(r.take_varint().map_err(perr)?, "restored_targets")?,
-            replayed_msgs: r.take_varint().map_err(perr)?,
-            replayed_bytes: r.take_varint().map_err(perr)?,
-        },
-        _ => return Err(perr(PackError::BadTag { context: "lifecycle event", tag })),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------
-
-/// Encode one request as a frame payload.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut w = PackWriter::new();
-    match req {
-        Request::Ingest { target, span } => {
-            w.put_u8(0);
-            put_target(&mut w, *target);
-            put_span(&mut w, 0, span);
-        }
-        Request::Advance { watermark } => {
-            w.put_u8(1);
-            w.put_zigzag(*watermark);
-        }
-        Request::Flush => w.put_u8(2),
-        Request::Point { target } => {
-            w.put_u8(3);
-            put_target(&mut w, *target);
-        }
-        Request::TopK { k, category } => {
-            w.put_u8(4);
-            w.put_varint(as_u64(*k));
-            w.put_u8(cat_tag(*category));
-        }
-        Request::Rollup { scope } => {
-            w.put_u8(5);
-            put_scope(&mut w, scope);
-        }
-        Request::Metrics => w.put_u8(6),
-        Request::Snapshot => w.put_u8(7),
-        Request::Resize { shards } => {
-            w.put_u8(8);
-            w.put_varint(as_u64(*shards));
-        }
-        Request::Drill { op } => {
-            w.put_u8(9);
-            match op {
-                DrillOp::KillShard { shard } => {
-                    w.put_u8(0);
-                    w.put_varint(as_u64(*shard));
-                }
-                DrillOp::RollingRestart => w.put_u8(1),
-                DrillOp::Supervise => w.put_u8(2),
-            }
-        }
-        Request::Shutdown => w.put_u8(10),
-        Request::IngestBatch { items } => {
-            w.put_u8(11);
-            put_ingest_batch(&mut w, items);
-        }
-        Request::Diagnose => w.put_u8(12),
-    }
-    w.into_bytes()
-}
-
-/// Decode one request frame payload. Trailing bytes are rejected.
-pub fn decode_request(bytes: &[u8]) -> Result<Request> {
-    let mut r = PackReader::new(bytes);
-    let tag = r.take_u8().map_err(perr)?;
-    let req = match tag {
-        0 => {
-            let target = take_target(&mut r)?;
-            let span = take_span(&mut r, 0)?;
-            Request::Ingest { target, span }
-        }
-        1 => Request::Advance { watermark: r.take_zigzag().map_err(perr)? },
-        2 => Request::Flush,
-        3 => Request::Point { target: take_target(&mut r)? },
-        4 => Request::TopK {
-            k: to_usize(r.take_varint().map_err(perr)?, "k")?,
-            category: cat_from_tag(r.take_u8().map_err(perr)?)?,
-        },
-        5 => Request::Rollup { scope: take_scope(&mut r)? },
-        6 => Request::Metrics,
-        7 => Request::Snapshot,
-        8 => Request::Resize { shards: to_usize(r.take_varint().map_err(perr)?, "shards")? },
-        9 => {
-            let op_tag = r.take_u8().map_err(perr)?;
-            let op = match op_tag {
-                0 => DrillOp::KillShard {
-                    shard: to_usize(r.take_varint().map_err(perr)?, "shard")?,
-                },
-                1 => DrillOp::RollingRestart,
-                2 => DrillOp::Supervise,
-                _ => return Err(perr(PackError::BadTag { context: "drill op", tag: op_tag })),
-            };
-            Request::Drill { op }
-        }
-        10 => Request::Shutdown,
-        11 => Request::IngestBatch { items: take_ingest_batch(&mut r)? },
-        12 => Request::Diagnose,
-        _ => return Err(perr(PackError::BadTag { context: "request", tag })),
-    };
-    r.finish().map_err(perr)?;
-    Ok(req)
-}
-
-/// Batch layout: target dictionary + span-name dictionary up front, then
-/// one compact record per item (dictionary indices, delta-encoded start
-/// timestamps across the batch, varint durations).
-fn put_ingest_batch(w: &mut PackWriter, items: &[IngestItem]) {
-    let mut t_dict: Vec<Target> = Vec::new();
-    let mut t_index: std::collections::HashMap<Target, u64> = std::collections::HashMap::new();
-    let mut n_dict: Vec<&str> = Vec::new();
-    let mut n_index: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-    for item in items {
-        t_index.entry(item.target).or_insert_with(|| {
-            // bound: one entry per distinct target in the batch
-            t_dict.push(item.target);
-            as_u64(t_dict.len().saturating_sub(1))
-        });
-        n_index.entry(item.span.name.as_str()).or_insert_with(|| {
-            // bound: one entry per distinct span name in the batch
-            n_dict.push(item.span.name.as_str());
-            as_u64(n_dict.len().saturating_sub(1))
-        });
-    }
-    w.put_varint(as_u64(items.len()));
-    w.put_varint(as_u64(t_dict.len()));
-    for t in &t_dict {
-        put_target(w, *t);
-    }
-    w.put_varint(as_u64(n_dict.len()));
-    for name in &n_dict {
-        w.put_str(name);
-    }
-    let mut prev_start: Timestamp = 0;
-    for item in items {
-        w.put_varint(*t_index.get(&item.target).unwrap_or(&0));
-        w.put_varint(*n_index.get(item.span.name.as_str()).unwrap_or(&0));
-        w.put_u8(cat_tag(item.span.category));
-        w.put_zigzag(item.span.start.wrapping_sub(prev_start));
-        w.put_zigzag(item.span.end.wrapping_sub(item.span.start));
-        w.put_f64(item.span.weight);
-        prev_start = item.span.start;
-    }
-}
-
-fn take_ingest_batch(r: &mut PackReader<'_>) -> Result<Vec<IngestItem>> {
-    let n_items = r.take_varint().map_err(perr)?;
-    let n_targets = r.take_len().map_err(perr)?;
-    let mut t_dict = Vec::new();
-    for _ in 0..n_targets {
-        // bound: one target per decoded dictionary record
-        t_dict.push(take_target(r)?);
-    }
-    let n_names = r.take_len().map_err(perr)?;
-    let mut n_dict = Vec::new();
-    for _ in 0..n_names {
-        // bound: one name per decoded dictionary record
-        n_dict.push(r.take_str().map_err(perr)?);
-    }
-    let mut items = Vec::new();
-    let mut prev_start: Timestamp = 0;
-    for _ in 0..n_items {
-        let t_idx = to_usize(r.take_varint().map_err(perr)?, "target index")?;
-        let target = *t_dict.get(t_idx).ok_or_else(|| {
-            CdiError::invalid(format!("cdipack: target index {t_idx} out of range"))
-        })?;
-        let n_idx = to_usize(r.take_varint().map_err(perr)?, "name index")?;
-        let name = n_dict
-            .get(n_idx)
-            .ok_or_else(|| {
-                CdiError::invalid(format!("cdipack: name index {n_idx} out of range"))
-            })?
-            .clone();
-        let category = cat_from_tag(r.take_u8().map_err(perr)?)?;
-        let start = prev_start.wrapping_add(r.take_zigzag().map_err(perr)?);
-        let end = start.wrapping_add(r.take_zigzag().map_err(perr)?);
-        let weight = r.take_f64().map_err(perr)?;
-        prev_start = start;
-        // bound: one item per decoded record, truncation errors first
-        items.push(IngestItem { target, span: EventSpan { name, category, start, end, weight } });
-    }
-    Ok(items)
-}
-
-// ---------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------
-
-/// Encode one response as a frame payload.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut w = PackWriter::new();
-    match resp {
-        Response::Ok => w.put_u8(0),
-        Response::Error { message } => {
-            w.put_u8(1);
-            w.put_str(message);
-        }
-        Response::Ingested { accepted, shed } => {
-            w.put_u8(2);
-            w.put_varint(as_u64(*accepted));
-            w.put_varint(as_u64(*shed));
-        }
-        Response::Point { found } => {
-            w.put_u8(3);
-            match found {
-                None => w.put_u8(0),
-                Some(cdi) => {
-                    w.put_u8(1);
-                    put_target(&mut w, cdi.target);
-                    w.put_zigzag(cdi.watermark);
-                    w.put_f64(cdi.unavailability);
-                    w.put_f64(cdi.performance);
-                    w.put_f64(cdi.control_plane);
-                }
-            }
-        }
-        Response::TopK { entries } => {
-            w.put_u8(4);
-            w.put_varint(as_u64(entries.len()));
-            for e in entries {
-                put_target(&mut w, e.target);
-                w.put_f64(e.score);
-            }
-        }
-        Response::Rollup { vm_count, breakdown } => {
-            w.put_u8(5);
-            w.put_varint(as_u64(*vm_count));
-            w.put_zigzag(breakdown.total_service_time);
-            w.put_f64(breakdown.unavailability);
-            w.put_f64(breakdown.performance);
-            w.put_f64(breakdown.control_plane);
-        }
-        Response::Metrics { report } => {
-            w.put_u8(6);
-            put_metrics(&mut w, report);
-        }
-        Response::Snapshot { snapshot } => {
-            w.put_u8(7);
-            w.put_bytes(&encode_snapshot(snapshot));
-        }
-        Response::Resized { outcome } => {
-            w.put_u8(8);
-            w.put_varint(outcome.epoch);
-            w.put_varint(as_u64(outcome.from_shards));
-            w.put_varint(as_u64(outcome.to_shards));
-            w.put_varint(as_u64(outcome.moved_targets));
-            w.put_varint(outcome.drained_msgs);
-        }
-        Response::Supervised { respawned } => {
-            w.put_u8(9);
-            w.put_varint(as_u64(*respawned));
-        }
-        Response::ShuttingDown => w.put_u8(10),
-        Response::Diagnoses { outages } => {
-            w.put_u8(11);
-            w.put_varint(as_u64(outages.len()));
-            for o in outages {
-                put_outage_scope(&mut w, &o.scope);
-                w.put_u8(cat_tag(o.category));
-                w.put_zigzag(o.start);
-                w.put_zigzag(o.end);
-                w.put_varint(as_u64(o.ticks));
-                w.put_varint(as_u64(o.spiking_vms));
-                w.put_varint(as_u64(o.total_vms));
-                w.put_varint(as_u64(o.spiking_ncs));
-                w.put_f64(o.concentration);
-                w.put_f64(o.confidence);
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-fn put_outage_scope(w: &mut PackWriter, scope: &OutageScope) {
-    match scope {
-        OutageScope::Vm(id) => {
-            w.put_u8(0);
-            w.put_varint(*id);
-        }
-        OutageScope::Nc(id) => {
-            w.put_u8(1);
-            w.put_varint(*id);
-        }
-        OutageScope::Cluster(name) => {
-            w.put_u8(2);
-            w.put_str(name);
-        }
-        OutageScope::Az(name) => {
-            w.put_u8(3);
-            w.put_str(name);
-        }
-        OutageScope::Region(name) => {
-            w.put_u8(4);
-            w.put_str(name);
-        }
-        OutageScope::Global => w.put_u8(5),
-    }
-}
-
-fn take_outage_scope(r: &mut PackReader<'_>) -> Result<OutageScope> {
-    let tag = r.take_u8().map_err(perr)?;
-    Ok(match tag {
-        0 => OutageScope::Vm(r.take_varint().map_err(perr)?),
-        1 => OutageScope::Nc(r.take_varint().map_err(perr)?),
-        2 => OutageScope::Cluster(r.take_str().map_err(perr)?),
-        3 => OutageScope::Az(r.take_str().map_err(perr)?),
-        4 => OutageScope::Region(r.take_str().map_err(perr)?),
-        5 => OutageScope::Global,
-        _ => return Err(perr(PackError::BadTag { context: "outage scope", tag })),
-    })
-}
-
-/// Decode one response frame payload. Trailing bytes are rejected.
-pub fn decode_response(bytes: &[u8]) -> Result<Response> {
-    let mut r = PackReader::new(bytes);
-    let tag = r.take_u8().map_err(perr)?;
-    let resp = match tag {
-        0 => Response::Ok,
-        1 => Response::Error { message: r.take_str().map_err(perr)? },
-        2 => Response::Ingested {
-            accepted: to_usize(r.take_varint().map_err(perr)?, "accepted")?,
-            shed: to_usize(r.take_varint().map_err(perr)?, "shed")?,
-        },
-        3 => {
-            let present = r.take_u8().map_err(perr)?;
-            let found = match present {
-                0 => None,
-                1 => Some(TargetCdi {
-                    target: take_target(&mut r)?,
-                    watermark: r.take_zigzag().map_err(perr)?,
-                    unavailability: r.take_f64().map_err(perr)?,
-                    performance: r.take_f64().map_err(perr)?,
-                    control_plane: r.take_f64().map_err(perr)?,
-                }),
-                _ => return Err(perr(PackError::BadTag { context: "option", tag: present })),
-            };
-            Response::Point { found }
-        }
-        4 => {
-            let n = r.take_len().map_err(perr)?;
-            let mut entries = Vec::new();
-            for _ in 0..n {
-                let target = take_target(&mut r)?;
-                let score = r.take_f64().map_err(perr)?;
-                // bound: one entry per decoded record, truncation errors first
-                entries.push(TopEntry { target, score });
-            }
-            Response::TopK { entries }
-        }
-        5 => Response::Rollup {
-            vm_count: to_usize(r.take_varint().map_err(perr)?, "vm_count")?,
-            breakdown: CdiBreakdown {
-                total_service_time: r.take_zigzag().map_err(perr)?,
-                unavailability: r.take_f64().map_err(perr)?,
-                performance: r.take_f64().map_err(perr)?,
-                control_plane: r.take_f64().map_err(perr)?,
-            },
-        },
-        6 => Response::Metrics { report: take_metrics(&mut r)? },
-        7 => {
-            let rest = r.take_bytes(r.remaining()).map_err(perr)?;
-            return Ok(Response::Snapshot { snapshot: decode_snapshot(rest)? });
-        }
-        8 => Response::Resized {
-            outcome: ResizeOutcome {
-                epoch: r.take_varint().map_err(perr)?,
-                from_shards: to_usize(r.take_varint().map_err(perr)?, "from_shards")?,
-                to_shards: to_usize(r.take_varint().map_err(perr)?, "to_shards")?,
-                moved_targets: to_usize(r.take_varint().map_err(perr)?, "moved_targets")?,
-                drained_msgs: r.take_varint().map_err(perr)?,
-            },
-        },
-        9 => Response::Supervised {
-            respawned: to_usize(r.take_varint().map_err(perr)?, "respawned")?,
-        },
-        10 => Response::ShuttingDown,
-        11 => {
-            let n = r.take_len().map_err(perr)?;
-            let mut outages = Vec::new();
-            for _ in 0..n {
-                // bound: one outage per decoded record, truncation errors first
-                outages.push(OutageSummary {
-                    scope: take_outage_scope(&mut r)?,
-                    category: cat_from_tag(r.take_u8().map_err(perr)?)?,
-                    start: r.take_zigzag().map_err(perr)?,
-                    end: r.take_zigzag().map_err(perr)?,
-                    ticks: to_usize(r.take_varint().map_err(perr)?, "ticks")?,
-                    spiking_vms: to_usize(r.take_varint().map_err(perr)?, "spiking_vms")?,
-                    total_vms: to_usize(r.take_varint().map_err(perr)?, "total_vms")?,
-                    spiking_ncs: to_usize(r.take_varint().map_err(perr)?, "spiking_ncs")?,
-                    concentration: r.take_f64().map_err(perr)?,
-                    confidence: r.take_f64().map_err(perr)?,
-                });
-            }
-            Response::Diagnoses { outages }
-        }
-        _ => return Err(perr(PackError::BadTag { context: "response", tag })),
-    };
-    r.finish().map_err(perr)?;
-    Ok(resp)
-}
-
-/// Build the zero-valued metrics report used by codec tests and benches.
-pub fn empty_metrics() -> MetricsReport {
-    crate::metrics::ServiceMetrics::default().report(ShardTotals::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn span(name: &str, cat: Category, start: i64, end: i64, w: f64) -> EventSpan {
-        EventSpan { name: name.to_string(), category: cat, start, end, weight: w }
-    }
-
-    fn sample_snapshot() -> ServiceSnapshot {
-        let acc = |ps, wm, frozen, open: Vec<EventSpan>| AccumulatorSnapshot {
-            period_start: ps,
-            watermark: wm,
-            frozen,
-            open,
-            late_dropped: 2,
-            late_clipped: 7,
-        };
-        ServiceSnapshot {
-            period_start: 0,
-            watermark: 7_200_000,
-            targets: vec![
-                TargetSnapshot {
-                    target: Target::Vm(3),
-                    unavailability: acc(
-                        0,
-                        7_200_000,
-                        123.456,
-                        vec![span("vm_down", Category::Unavailability, 7_000_000, 7_900_000, 1.0)],
-                    ),
-                    performance: acc(0, 7_200_000, 0.25, vec![]),
-                    control_plane: acc(0, 7_200_000, 0.0, vec![]),
-                },
-                TargetSnapshot {
-                    target: Target::Nc(1),
-                    unavailability: acc(0, 7_200_000, 0.0, vec![]),
-                    performance: acc(
-                        0,
-                        7_200_000,
-                        9.5,
-                        vec![
-                            span("slow_io", Category::Performance, 6_900_000, 8_000_000, 0.5),
-                            span("slow_io", Category::Performance, 7_100_000, 7_300_000, 0.25),
-                        ],
-                    ),
-                    control_plane: acc(0, 7_200_000, 1.5, vec![]),
-                },
-            ],
-            metrics: empty_metrics(),
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_bit_exactly() {
-        let snap = sample_snapshot();
-        let bytes = encode_snapshot(&snap);
-        let back = decode_snapshot(&bytes).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(encode_snapshot(&back), bytes, "deterministic bytes");
-    }
-
-    #[test]
-    fn snapshot_decoder_is_total_under_corruption() {
-        let bytes = encode_snapshot(&sample_snapshot());
-        for cut in 0..bytes.len() {
-            let _ = decode_snapshot(&bytes[..cut]).map(|_| ());
-        }
-        for i in 0..bytes.len() {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x5A;
-            let _ = decode_snapshot(&mutated).map(|_| ());
-        }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(decode_snapshot(&trailing).is_err());
-    }
-
-    #[test]
-    fn requests_and_responses_round_trip() {
-        let reqs = vec![
-            Request::Ingest {
-                target: Target::Vm(3),
-                span: span("slow_io", Category::Performance, 60_000, 120_000, 0.5),
-            },
-            Request::Advance { watermark: 3_600_000 },
-            Request::Flush,
-            Request::Point { target: Target::Nc(1) },
-            Request::TopK { k: 5, category: Category::Unavailability },
-            Request::Rollup { scope: Scope::Az("r1-a".into()) },
-            Request::Rollup { scope: Scope::Nc(7) },
-            Request::Metrics,
-            Request::Snapshot,
-            Request::Resize { shards: 8 },
-            Request::Drill { op: DrillOp::KillShard { shard: 2 } },
-            Request::Drill { op: DrillOp::RollingRestart },
-            Request::Drill { op: DrillOp::Supervise },
-            Request::Shutdown,
-            Request::IngestBatch {
-                items: vec![
-                    IngestItem {
-                        target: Target::Vm(1),
-                        span: span("a", Category::Unavailability, 10, 20, 1.0),
-                    },
-                    IngestItem {
-                        target: Target::Vm(1),
-                        span: span("a", Category::Unavailability, 15, 25, 1.0),
-                    },
-                    IngestItem {
-                        target: Target::Nc(2),
-                        span: span("b", Category::ControlPlane, 12, 13, 0.125),
-                    },
-                ],
-            },
-            Request::Diagnose,
-        ];
-        for req in reqs {
-            let bytes = encode_request(&req);
-            assert_eq!(decode_request(&bytes).unwrap(), req);
-        }
-        let resps = vec![
-            Response::Ok,
-            Response::Error { message: "bad".into() },
-            Response::Ingested { accepted: 5, shed: 1 },
-            Response::Point { found: None },
-            Response::Point {
-                found: Some(TargetCdi {
-                    target: Target::Vm(9),
-                    watermark: 1000,
-                    unavailability: 0.5,
-                    performance: 0.0,
-                    control_plane: 1.25,
-                }),
-            },
-            Response::TopK {
-                entries: vec![TopEntry { target: Target::Vm(1), score: 0.25 }],
-            },
-            Response::Rollup {
-                vm_count: 16,
-                breakdown: CdiBreakdown {
-                    total_service_time: 86_400_000,
-                    unavailability: 1.5,
-                    performance: 0.25,
-                    control_plane: 0.0,
-                },
-            },
-            Response::Metrics { report: empty_metrics() },
-            Response::Snapshot { snapshot: sample_snapshot() },
-            Response::Resized {
-                outcome: ResizeOutcome {
-                    epoch: 3,
-                    from_shards: 2,
-                    to_shards: 4,
-                    moved_targets: 17,
-                    drained_msgs: 120,
-                },
-            },
-            Response::Supervised { respawned: 1 },
-            Response::ShuttingDown,
-            Response::Diagnoses { outages: vec![] },
-            Response::Diagnoses {
-                outages: vec![
-                    OutageSummary {
-                        scope: OutageScope::Az("r1-a1".into()),
-                        category: Category::Unavailability,
-                        start: 18_000_000,
-                        end: 20_700_000,
-                        ticks: 3,
-                        spiking_vms: 16,
-                        total_vms: 16,
-                        spiking_ncs: 4,
-                        concentration: 1.0,
-                        confidence: 1.0,
-                    },
-                    OutageSummary {
-                        scope: OutageScope::Vm(42),
-                        category: Category::Performance,
-                        start: -5,
-                        end: 5,
-                        ticks: 1,
-                        spiking_vms: 1,
-                        total_vms: 1,
-                        spiking_ncs: 1,
-                        concentration: 0.5,
-                        confidence: 0.25,
-                    },
-                    OutageSummary {
-                        scope: OutageScope::Global,
-                        category: Category::ControlPlane,
-                        start: 0,
-                        end: 900_000,
-                        ticks: 1,
-                        spiking_vms: 64,
-                        total_vms: 64,
-                        spiking_ncs: 16,
-                        concentration: 1.0,
-                        confidence: 1.0,
-                    },
-                ],
-            },
-        ];
-        for resp in resps {
-            let bytes = encode_response(&resp);
-            assert_eq!(decode_response(&bytes).unwrap(), resp);
-        }
-    }
-
-    #[test]
-    fn request_decoder_is_total_under_corruption() {
-        let bytes = encode_request(&Request::IngestBatch {
-            items: vec![IngestItem {
-                target: Target::Vm(1),
-                span: span("x", Category::Performance, 5, 9, 0.5),
-            }],
-        });
-        for cut in 0..bytes.len() {
-            let _ = decode_request(&bytes[..cut]).map(|_| ());
-        }
-        for i in 0..bytes.len() {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0xFF;
-            let _ = decode_request(&mutated).map(|_| ());
-        }
-    }
 
     #[test]
     fn frames_round_trip_and_reject_oversize() {
@@ -1393,57 +825,5 @@ mod tests {
         partial.truncate(partial.len() - 2);
         let mut r = &partial[..];
         assert!(read_frame(&mut r).is_err());
-    }
-
-    #[test]
-    fn journal_records_concatenate_as_a_stream() {
-        let msgs = vec![
-            ShardMsg::Span {
-                target: Target::Vm(4),
-                span: span("nic_flap", Category::Unavailability, 100, 900, 1.0),
-            },
-            ShardMsg::Watermark(1_000),
-            ShardMsg::Span {
-                target: Target::Nc(2),
-                span: span("slow_io", Category::Performance, 950, 1_400, 0.5),
-            },
-            ShardMsg::Crash,
-        ];
-        let mut w = PackWriter::new();
-        for m in &msgs {
-            put_shard_msg(&mut w, m);
-        }
-        let bytes = w.into_bytes();
-        let mut r = PackReader::new(&bytes);
-        let mut back = Vec::new();
-        while !r.is_done() {
-            back.push(take_shard_msg(&mut r).unwrap());
-        }
-        assert_eq!(back, msgs);
-    }
-
-    #[test]
-    fn checkpoint_and_delta_round_trip() {
-        let snap = sample_snapshot();
-        let ck = Checkpoint { watermark: snap.watermark, rejected: 3, targets: snap.targets.clone() };
-        let bytes = encode_checkpoint(0, &ck);
-        let (ps, back) = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(ps, 0);
-        assert_eq!(back.watermark, ck.watermark);
-        assert_eq!(back.rejected, ck.rejected);
-        assert_eq!(back.targets, ck.targets);
-
-        let delta = ShardDelta {
-            from_watermark: 3_600_000,
-            to_watermark: 7_200_000,
-            rejected: 1,
-            advances: vec![4_000_000, 5_500_000, 7_200_000],
-            changed: snap.targets.clone(),
-        };
-        let d_bytes = encode_delta(&delta);
-        assert_eq!(decode_delta(&d_bytes).unwrap(), delta);
-        for cut in 0..d_bytes.len() {
-            let _ = decode_delta(&d_bytes[..cut]).map(|_| ());
-        }
     }
 }

@@ -22,13 +22,13 @@
 //!   rollups over the simfleet hierarchy (region → AZ → cluster → NC →
 //!   VM).
 //! - **Durability** ([`snapshot`], [`cdipack`]): snapshots of every
-//!   accumulator in either dialect — serde-JSON or the compact columnar
-//!   `cdipack` binary — restorable into a *different* shard count
-//!   (targets re-hash) — the crash-recovery and re-sharding story,
-//!   chaos-tested to converge within 1e-9 of an uninterrupted run. Shard
-//!   respawn replays a base checkpoint plus a bounded chain of
-//!   incremental epoch deltas and a byte journal, all `cdipack`-encoded,
-//!   so recovery cost is O(recent change), not O(total state).
+//!   accumulator as compact columnar `cdipack` bytes — the one persisted
+//!   form — restorable into a *different* shard count (targets re-hash):
+//!   the crash-recovery and re-sharding story, chaos-tested to converge
+//!   within 1e-9 of an uninterrupted run. Shard respawn replays a chain
+//!   of `cdipack`-encoded images (a full base, then incremental epoch
+//!   deltas of the same shape) and a byte journal, so recovery cost is
+//!   O(recent change), not O(total state).
 //! - **The wire** ([`proto`], [`server`], [`cdipack`]): one
 //!   request/response protocol over `std::net` TCP with a small thread
 //!   pool, in two negotiated dialects — JSON lines for scriptability, or

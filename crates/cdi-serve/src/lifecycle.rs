@@ -23,7 +23,7 @@
 //!    once; queues refill and the watermark keeps advancing.
 //!
 //! The same fence, applied to one shard at a time, gives rolling restarts;
-//! crash-respawn (a shard rebuilt from checkpoint + journal, see
+//! crash-respawn (a shard rebuilt from its image chain + journal, see
 //! [`crate::shard`]) needs no fence at all because the queue itself
 //! preserves everything the dead worker had not applied.
 //!
@@ -66,15 +66,14 @@ pub fn split_merge(
     watermark: Timestamp,
 ) -> Result<Vec<ShardState>> {
     let shards = shards.max(1);
-    let mut states: Vec<ShardState> =
-        (0..shards).map(|_| ShardState::new(period_start)).collect();
-    for st in &mut states {
-        st.set_watermark(watermark);
-    }
+    let mut groups: Vec<Vec<&TargetSnapshot>> = vec![Vec::new(); shards];
     for snap in targets {
-        states[shard_index(snap.target, shards)].restore_target(snap)?;
+        groups[shard_index(snap.target, shards)].push(snap);
     }
-    Ok(states)
+    groups
+        .into_iter()
+        .map(|group| ShardState::from_parts(period_start, watermark, 0, group))
+        .collect()
 }
 
 /// How many of `targets` change shard assignment when the pool goes from

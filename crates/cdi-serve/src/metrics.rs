@@ -70,7 +70,7 @@ pub enum LifecycleEvent {
     ShardRespawned {
         /// Index of the respawned shard.
         shard: usize,
-        /// Targets revived from the durable base checkpoint.
+        /// Targets revived from the durable image chain.
         restored_targets: usize,
         /// Journaled messages replayed on top of the delta chain.
         replayed_msgs: u64,

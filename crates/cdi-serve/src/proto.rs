@@ -1,4 +1,4 @@
-//! The wire protocol: one request/response enum, two dialects.
+//! The wire protocol: one request/response enum, two wire dialects.
 //!
 //! The *JSON-lines* dialect is one request per line, one response line per
 //! request, both serde-JSON enums tagged by variant name — payload
@@ -12,6 +12,11 @@
 //! leading with [`crate::cdipack::WIRE_MAGIC`], whose first byte can never
 //! begin a JSON line; anything else is served as JSON-lines, so existing
 //! `nc` scripts keep working unchanged.
+//!
+//! The JSON dialect comes from the serde derives below; the binary one is
+//! declared once per type in [`crate::cdipack`] (a new verb is one variant
+//! here, one line there, and one `dispatch` arm in [`crate::server`]).
+//! Only `cdipack` is ever persisted; JSON is the view for people.
 //!
 //! Either way the protocol is deliberately stateless per request (no
 //! session state beyond the TCP connection and its negotiated dialect), so
@@ -106,7 +111,7 @@ pub struct IngestItem {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DrillOp {
     /// Kill one shard worker (its live state is wiped; supervision
-    /// respawns it from checkpoint + journal).
+    /// respawns it from its image chain + journal).
     KillShard {
         /// Index of the shard to kill.
         shard: usize,

@@ -33,7 +33,7 @@
 //!
 //! Crash supervision is built into the write path: a delivery that finds
 //! its shard dead (a drill [`CdiService::kill_shard`]) respawns it from
-//! checkpoint + journal before pushing, and [`CdiService::supervise`]
+//! its durable image chain + journal before pushing, and [`CdiService::supervise`]
 //! sweeps the pool on demand.
 
 use std::collections::HashMap;
@@ -69,8 +69,9 @@ pub struct ServeConfig {
     /// Event names that stay at NC scope instead of fanning out to hosted
     /// VMs (the batch job's host-only telemetry exclusion).
     pub host_only_events: Vec<String>,
-    /// Applied messages between per-shard checkpoints (crash-recovery
-    /// granularity: a respawn replays at most this many journal entries).
+    /// Applied messages between per-shard durability epoch cuts
+    /// (crash-recovery granularity: a respawn replays at most this many
+    /// journal entries).
     pub checkpoint_every: usize,
 }
 
@@ -135,28 +136,52 @@ impl CdiService {
     /// Start a service with empty state.
     pub fn new(cfg: ServeConfig) -> Result<CdiService> {
         Self::validate(&cfg)?;
+        let states = (0..cfg.shards).map(|_| ShardState::new(cfg.period_start)).collect();
+        let watermark = cfg.period_start;
+        Ok(Self::over(cfg, states, watermark))
+    }
+
+    /// A service over pre-built shard states, one shard per state.
+    fn over(cfg: ServeConfig, states: Vec<ShardState>, watermark: Timestamp) -> CdiService {
         let metrics = Arc::new(ServiceMetrics::default());
-        let pool = (0..cfg.shards)
-            .map(|i| {
-                Shard::spawn_supervised(
-                    ShardState::new(cfg.period_start),
-                    cfg.queue_capacity,
-                    cfg.checkpoint_every,
-                    i,
-                    Arc::clone(&metrics),
-                )
-            })
-            .collect();
-        let watermark = TrackedMutex::new("watermark", cfg.period_start);
-        Ok(CdiService {
+        let pool = Self::spawn_pool(&cfg, &metrics, states);
+        CdiService {
             cfg,
             pool: TrackedRwLock::new("pool", pool),
             routes: HashMap::new(),
-            watermark,
+            watermark: TrackedMutex::new("watermark", watermark),
             metrics,
             gate: AdmissionGate::default(),
             lifecycle: TrackedMutex::new("lifecycle", ()),
-        })
+        }
+    }
+
+    /// Spawn one supervised shard per state, indexed in order.
+    fn spawn_pool(
+        cfg: &ServeConfig,
+        metrics: &Arc<ServiceMetrics>,
+        states: Vec<ShardState>,
+    ) -> Vec<Shard> {
+        states
+            .into_iter()
+            .enumerate()
+            .map(|(i, st)| Self::spawn_shard(cfg, metrics, i, st))
+            .collect()
+    }
+
+    fn spawn_shard(
+        cfg: &ServeConfig,
+        metrics: &Arc<ServiceMetrics>,
+        index: usize,
+        state: ShardState,
+    ) -> Shard {
+        Shard::spawn_supervised(
+            state,
+            cfg.queue_capacity,
+            cfg.checkpoint_every,
+            index,
+            Arc::clone(metrics),
+        )
     }
 
     fn validate(cfg: &ServeConfig) -> Result<()> {
@@ -449,7 +474,7 @@ impl CdiService {
     }
 
     /// Sweep the pool for dead shard workers and respawn them from their
-    /// checkpoints + journals. Returns how many were healed.
+    /// image chains + journals. Returns how many were healed.
     pub fn supervise(&self) -> usize {
         self.rd().iter().filter(|s| s.respawn_if_dead()).count()
     }
@@ -515,6 +540,7 @@ impl CdiService {
         let mut pool = self.wr(); // lock: pool
         let drained_msgs: u64 = pool.iter().map(|s| s.queue.depth() as u64).sum();
         for shard in pool.iter() {
+            // lint-allow(R7): resize drains shards under the pool write guard by design: admission is fenced first, so the drain is bounded and holding the guard is what makes the cutover atomic
             shard.drain_to_fence();
         }
         let watermark = self.watermark();
@@ -530,22 +556,9 @@ impl CdiService {
         // Only mutate counters past the last fallible step.
         // ordering: loss statistic for reports; the pool write lock orders the cutover
         self.metrics.rejected_carried.fetch_add(rejected, Ordering::Relaxed);
-        let new_pool: Vec<Shard> = states
-            .into_iter()
-            .enumerate()
-            .map(|(i, st)| {
-                Shard::spawn_supervised(
-                    st,
-                    self.cfg.queue_capacity,
-                    self.cfg.checkpoint_every,
-                    i,
-                    Arc::clone(&self.metrics),
-                )
-            })
-            .collect();
         // The atomic cutover: readers blocked on the pool lock see only
         // the new width. Old shards shut down on drop (queues empty).
-        *pool = new_pool;
+        *pool = Self::spawn_pool(&self.cfg, &self.metrics, states);
         drop(pool);
         ServiceMetrics::bump(&self.metrics.resizes);
         self.metrics.events.record(LifecycleEvent::ResizeFinished {
@@ -589,22 +602,17 @@ impl CdiService {
             return Ok(());
         }
         let drained_msgs = pool[i].queue.depth() as u64;
+        // lint-allow(R7): rolling restart drains one shard under the pool write guard: same fenced-drain argument as resize, one shard at a time
         pool[i].drain_to_fence();
-        let (snaps, watermark, rejected) =
-            pool[i].with_state(|st| (st.snapshot(), st.watermark(), st.rejected()));
-        let mut st = ShardState::new(self.cfg.period_start);
-        st.set_watermark(watermark);
-        st.set_rejected(rejected);
-        for snap in &snaps {
-            st.restore_target(snap)?;
-        }
-        pool[i] = Shard::spawn_supervised(
-            st,
-            self.cfg.queue_capacity,
-            self.cfg.checkpoint_every,
-            i,
-            Arc::clone(&self.metrics),
-        );
+        let rebuilt = pool[i].with_state(|st| {
+            ShardState::from_parts(
+                self.cfg.period_start,
+                st.watermark(),
+                st.rejected(),
+                &st.snapshot(),
+            )
+        })?;
+        pool[i] = Self::spawn_shard(&self.cfg, &self.metrics, i, rebuilt);
         drop(pool);
         ServiceMetrics::bump(&self.metrics.shard_restarts);
         self.metrics.events.record(LifecycleEvent::ShardRestarted {
@@ -618,8 +626,8 @@ impl CdiService {
     /// Chaos drill: kill one shard worker. Its live state is wiped as a
     /// crash would; queued messages survive in the queue and supervision
     /// (the next delivery, flush, or [`CdiService::supervise`]) respawns
-    /// it from checkpoint + journal. Returns `false` for an out-of-range
-    /// index.
+    /// it from its image chain + journal. Returns `false` for an
+    /// out-of-range index.
     pub fn kill_shard(&self, shard: usize) -> bool {
         let _lc = relock(self.lifecycle.lock());
         let pool = self.rd(); // lock: pool
@@ -642,6 +650,7 @@ impl CdiService {
         let snap = {
             let pool = self.rd(); // lock: pool
             for shard in pool.iter() {
+                // lint-allow(R7): snapshot drains under the lifecycle+pool guards: the fence is already up, so drains are bounded, and the guards are what freeze the state being serialized
                 shard.drain_to_fence();
             }
             ServiceMetrics::bump(&self.metrics.snapshots);
@@ -674,30 +683,7 @@ impl CdiService {
         }
         let cfg = ServeConfig { period_start: snap.period_start, ..cfg };
         let states = split_merge(&snap.targets, cfg.shards, cfg.period_start, snap.watermark)?;
-        let metrics = Arc::new(ServiceMetrics::default());
-        let pool: Vec<Shard> = states
-            .into_iter()
-            .enumerate()
-            .map(|(i, st)| {
-                Shard::spawn_supervised(
-                    st,
-                    cfg.queue_capacity,
-                    cfg.checkpoint_every,
-                    i,
-                    Arc::clone(&metrics),
-                )
-            })
-            .collect();
-        let watermark = TrackedMutex::new("watermark", snap.watermark);
-        let service = CdiService {
-            cfg,
-            pool: TrackedRwLock::new("pool", pool),
-            routes: HashMap::new(),
-            watermark,
-            metrics,
-            gate: AdmissionGate::default(),
-            lifecycle: TrackedMutex::new("lifecycle", ()),
-        };
+        let service = Self::over(cfg, states, snap.watermark);
         service.metrics.reseed(&snap.metrics);
         Ok(service)
     }

@@ -15,19 +15,22 @@
 //! ## Crash durability (PR 6, incremental since PR 9)
 //!
 //! Each shard maintains a durable image entirely in `cdipack` bytes
-//! ([`crate::cdipack`]): a full base [`Checkpoint`], a bounded chain of
-//! incremental [`crate::cdipack::ShardDelta`]s (cut every
+//! ([`crate::cdipack`]), in one shape: a chain of encoded
+//! [`ShardDelta`]s plus a byte journal of the messages applied since the
+//! last one was cut. The first image in the chain is the *base* — a full
+//! delta cut from an empty state (every target, one advance to the
+//! watermark); each later one is an incremental epoch (cut every
 //! `checkpoint_every` applied messages, covering only the targets dirtied
-//! in that epoch plus the watermark advances applied, and collapsed into
-//! a fresh base once the chain reaches [`MAX_DELTA_CHAIN`]), and a byte
-//! journal of the messages applied since the last epoch. A
+//! in that epoch plus the watermark advances applied). Once the chain
+//! reaches [`MAX_DELTA_CHAIN`] images it collapses into a fresh base. A
 //! [`ShardMsg::Crash`] control message — the chaos drill's kill switch —
 //! makes the worker wipe its live state and exit, exactly as a crashed
 //! process loses its heap. Supervision ([`Shard::respawn_if_dead`]) then
-//! rebuilds the state from base + delta chain + journal replay and spawns
-//! a fresh worker over the *same* queue, so messages that were still
-//! queued at the crash are drained by the successor and nothing is lost:
-//! the respawned shard converges bit-for-bit with one that never crashed.
+//! starts from a fresh state, applies each image in the chain, replays
+//! the journal, and spawns a fresh worker over the *same* queue, so
+//! messages that were still queued at the crash are drained by the
+//! successor and nothing is lost: the respawned shard converges
+//! bit-for-bit with one that never crashed.
 //!
 //! Delta replay is exact, not approximate: a delta replays the *same*
 //! sequence of accepted watermark advances the live shard applied (so
@@ -50,7 +53,7 @@ use cdi_core::time::Timestamp;
 use minispark::pack::{PackReader, PackWriter};
 use serde::{Deserialize, Serialize};
 
-use crate::cdipack;
+use crate::cdipack::{self, Pack, ShardDelta};
 use crate::metrics::{LifecycleEvent, ServiceMetrics};
 use crate::queue::BoundedQueue;
 use crate::tracked::{TrackedCondvar, TrackedMutex};
@@ -69,8 +72,8 @@ pub enum ShardMsg {
     Watermark(Timestamp),
     /// Chaos-drill kill switch: the worker wipes its live state and exits
     /// as if the thread had crashed. Never journaled, never counted as an
-    /// applied message; supervision rebuilds the shard from its last
-    /// checkpoint plus the journal.
+    /// applied message; supervision rebuilds the shard from its durable
+    /// image chain plus the journal.
     Crash,
 }
 
@@ -123,41 +126,20 @@ pub struct TargetSnapshot {
     pub control_plane: AccumulatorSnapshot,
 }
 
-/// One shard's durable image: everything needed to rebuild its state
-/// after a crash, minus what is still in the journal and the queue.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Watermark the checkpointed accumulators are advanced to.
-    pub watermark: Timestamp,
-    /// Accumulator rejections counted up to the checkpoint.
-    pub rejected: u64,
-    /// Every tracked target at the checkpoint.
-    pub targets: Vec<TargetSnapshot>,
-}
-
 /// The durable image supervision rebuilds a crashed shard from, held
 /// entirely as `cdipack` bytes. Writers: the worker thread (exclusively,
 /// while alive) and [`Shard::compact_durable`] (quiesced shards only).
 /// Readers: [`Shard::respawn_if_dead`] (only while the worker is dead).
 #[derive(Debug)]
 struct Durable {
-    checkpoint: TrackedMutex<DurableImage>,
+    /// Encoded [`ShardDelta`]s, oldest first; the first is the full base.
+    // bound: collapsed into a single base at MAX_DELTA_CHAIN by cut_epoch
+    images: TrackedMutex<Vec<Vec<u8>>>,
     journal: TrackedMutex<JournalBuf>,
 }
 
-/// The base-plus-deltas half of the durable image.
-#[derive(Debug)]
-struct DurableImage {
-    /// Encoded full [`Checkpoint`] ([`cdipack::encode_checkpoint`]).
-    base: Vec<u8>,
-    /// Encoded [`cdipack::ShardDelta`]s on top of the base, oldest first.
-    // bound: collapsed into a fresh base at MAX_DELTA_CHAIN by cut_epoch
-    deltas: Vec<Vec<u8>>,
-}
-
 /// The journal half of the durable image: concatenated encoded
-/// [`ShardMsg`] records ([`cdipack::put_shard_msg`]) applied since the
-/// last epoch was cut.
+/// [`ShardMsg`] records applied since the last epoch was cut.
 #[derive(Debug, Default)]
 struct JournalBuf {
     bytes: PackWriter,
@@ -168,7 +150,7 @@ struct JournalBuf {
 /// O(delta) respawn guarantee is measured against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurableStats {
-    /// Encoded bytes of the full base checkpoint.
+    /// Encoded bytes of the full base image.
     pub base_bytes: u64,
     /// Encoded bytes across the incremental delta chain.
     pub delta_bytes: u64,
@@ -190,7 +172,7 @@ pub struct ShardState {
     /// watermark) — upstream validation should make this stay 0.
     rejected: u64,
     /// Targets span-touched since the last durability epoch was cut —
-    /// exactly what the next [`cdipack::ShardDelta`] must carry.
+    /// exactly what the next [`ShardDelta`] must carry.
     // bound: fleet-sized (subset of `targets`), cleared every epoch by take_delta
     dirty: HashSet<Target>,
     /// Accepted watermark advances since the last epoch was cut, in
@@ -215,6 +197,27 @@ impl ShardState {
             epoch_advances: Vec::new(),
             epoch_start: period_start,
         }
+    }
+
+    /// Rebuild a state at `watermark` from target snapshots — the one
+    /// constructor behind snapshot restore, resize split/merge, and
+    /// rolling restart. Validates each accumulator snapshot and requires
+    /// it to sit at `watermark`; nothing is pending in the new state's
+    /// durability epoch.
+    pub fn from_parts<'a>(
+        period_start: Timestamp,
+        watermark: Timestamp,
+        rejected: u64,
+        targets: impl IntoIterator<Item = &'a TargetSnapshot>,
+    ) -> Result<ShardState> {
+        let mut st = ShardState::new(period_start);
+        st.watermark = watermark;
+        st.epoch_start = watermark;
+        st.rejected = rejected;
+        for snap in targets {
+            st.restore_target(snap)?;
+        }
+        Ok(st)
     }
 
     /// Apply one message. Accumulator-level rejections are counted, not
@@ -374,24 +377,16 @@ impl ShardState {
 
     /// Snapshot every target, sorted by target for stable output.
     pub fn snapshot(&self) -> Vec<TargetSnapshot> {
-        let mut out: Vec<TargetSnapshot> = self
-            .targets
-            .iter()
-            .map(|(&target, accs)| TargetSnapshot {
-                target,
-                unavailability: accs[0].snapshot(),
-                performance: accs[1].snapshot(),
-                control_plane: accs[2].snapshot(),
-            })
-            .collect();
+        let mut out: Vec<TargetSnapshot> =
+            self.targets.iter().map(|(&target, accs)| snapshot_of(target, accs)).collect();
         out.sort_by_key(|a| a.target);
         out
     }
 
-    /// Insert a revived target (snapshot restore path). Validates each
-    /// accumulator snapshot and requires all three to agree on the
+    /// Insert a revived target (restore and delta-replay paths). Validates
+    /// each accumulator snapshot and requires all three to agree on the
     /// watermark, which then must match the shard's.
-    pub fn restore_target(&mut self, snap: &TargetSnapshot) -> Result<()> {
+    fn restore_target(&mut self, snap: &TargetSnapshot) -> Result<()> {
         let u = CdiAccumulator::restore(snap.unavailability.clone())?;
         let p = CdiAccumulator::restore(snap.performance.clone())?;
         let c = CdiAccumulator::restore(snap.control_plane.clone())?;
@@ -410,75 +405,60 @@ impl ShardState {
         Ok(())
     }
 
-    /// Force the shard watermark without touching accumulators — restore
-    /// path only, where accumulators are inserted already at this mark.
-    /// The durability epoch reopens at the forced mark: a restored state
-    /// has nothing pending to delta.
-    pub(crate) fn set_watermark(&mut self, to: Timestamp) {
-        self.watermark = to;
-        self.epoch_start = to;
-    }
-
-    /// Seed the rejection counter — restore path only, so a rebuilt shard
-    /// keeps the loss accounting of the state it replaces.
-    pub(crate) fn set_rejected(&mut self, rejected: u64) {
-        self.rejected = rejected;
-    }
-
-    /// Full checkpoint of this state (watermark + rejections + targets).
-    fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            watermark: self.watermark,
-            rejected: self.rejected,
-            targets: self.snapshot(),
-        }
-    }
-
     /// Close the current durability epoch and open the next one: returns
-    /// the [`cdipack::ShardDelta`] covering everything since the last cut
-    /// — full snapshots of every span-dirtied target plus the exact
-    /// sequence of accepted watermark advances.
-    pub(crate) fn take_delta(&mut self) -> cdipack::ShardDelta {
+    /// the [`ShardDelta`] covering everything since the last cut — full
+    /// snapshots of every span-dirtied target plus the exact sequence of
+    /// accepted watermark advances.
+    pub(crate) fn take_delta(&mut self) -> ShardDelta {
         let mut changed: Vec<TargetSnapshot> = self
             .dirty
-            .iter()
-            .filter_map(|t| {
-                self.targets.get(t).map(|accs| TargetSnapshot {
-                    target: *t,
-                    unavailability: accs[0].snapshot(),
-                    performance: accs[1].snapshot(),
-                    control_plane: accs[2].snapshot(),
-                })
-            })
+            .drain()
+            .filter_map(|t| self.targets.get(&t).map(|accs| snapshot_of(t, accs)))
             .collect();
         changed.sort_by_key(|s| s.target);
-        let delta = cdipack::ShardDelta {
+        let delta = ShardDelta {
             from_watermark: self.epoch_start,
             to_watermark: self.watermark,
             rejected: self.rejected,
             advances: std::mem::take(&mut self.epoch_advances),
             changed,
         };
-        self.dirty.clear();
         self.epoch_start = self.watermark;
         delta
     }
 
-    /// Apply one durability epoch on top of this state (respawn path).
+    /// Close the current durability epoch like [`ShardState::take_delta`],
+    /// but describe the *whole* state, as one delta cut from an empty
+    /// shard: the durable base image. Applying it to a fresh state jumps
+    /// to the watermark and restores every target.
+    pub(crate) fn take_base(&mut self) -> ShardDelta {
+        self.dirty.clear();
+        self.epoch_advances.clear();
+        self.epoch_start = self.watermark;
+        ShardDelta {
+            from_watermark: self.period_start,
+            to_watermark: self.watermark,
+            rejected: self.rejected,
+            advances: vec![self.watermark],
+            changed: self.snapshot(),
+        }
+    }
+
+    /// Apply one durability image on top of this state (respawn path).
     /// Replays the recorded watermark advances — the identical
     /// `advance_watermark` call sequence the live shard took, so untouched
     /// targets stay bit-exact — then replaces every dirtied target with
     /// its epoch-close snapshot. Validation failures count as rejections
     /// rather than propagating: supervision must always produce a serving
     /// shard.
-    pub(crate) fn apply_delta(&mut self, d: &cdipack::ShardDelta) {
+    pub(crate) fn apply_delta(&mut self, d: &ShardDelta) {
         for &adv in &d.advances {
             self.advance_all(adv);
         }
         // Authoritative counter, set after the replay so replay-side
         // rejections (impossible for a worker-written delta) cannot skew
         // it; restore failures below still surface as bumps on top.
-        self.set_rejected(d.rejected);
+        self.rejected = d.rejected;
         for snap in &d.changed {
             if self.restore_target(snap).is_err() {
                 self.rejected += 1;
@@ -486,21 +466,14 @@ impl ShardState {
         }
         self.epoch_start = self.watermark;
     }
+}
 
-    /// Rebuild a state from a checkpoint. Target snapshots that fail
-    /// validation (impossible for a worker-written checkpoint) are counted
-    /// as rejections rather than propagated — supervision must always
-    /// produce a serving shard.
-    fn from_checkpoint(period_start: Timestamp, ck: &Checkpoint) -> ShardState {
-        let mut st = ShardState::new(period_start);
-        st.set_watermark(ck.watermark);
-        st.set_rejected(ck.rejected);
-        for snap in &ck.targets {
-            if st.restore_target(snap).is_err() {
-                st.rejected += 1;
-            }
-        }
-        st
+fn snapshot_of(target: Target, accs: &[CdiAccumulator; 3]) -> TargetSnapshot {
+    TargetSnapshot {
+        target,
+        unavailability: accs[0].snapshot(),
+        performance: accs[1].snapshot(),
+        control_plane: accs[2].snapshot(),
     }
 }
 
@@ -509,7 +482,7 @@ fn relock<G>(r: LockResult<G>) -> G {
 }
 
 /// A running shard: queue, worker thread, the shared state they drain
-/// into, and the checkpoint + journal supervision rebuilds it from.
+/// into, and the image chain + journal supervision rebuilds it from.
 #[derive(Debug)]
 pub struct Shard {
     /// The ingest queue producers push to.
@@ -519,7 +492,7 @@ pub struct Shard {
     enqueued: Arc<AtomicU64>,
     /// Messages applied by the worker, with a condvar for flush waiters.
     applied: Arc<(TrackedMutex<u64>, TrackedCondvar)>,
-    /// Checkpoint + journal for crash recovery.
+    /// Image chain + journal for crash recovery.
     durable: Arc<Durable>,
     /// False between a crash and the respawn that heals it.
     alive: Arc<AtomicBool>,
@@ -570,7 +543,7 @@ fn worker_loop(ctx: WorkerCtx) {
                 // bound: reset every epoch cut below
                 let mut journal = relock(ctx.durable.journal.lock());
                 for msg in &batch[..applied_n] {
-                    cdipack::put_shard_msg(&mut journal.bytes, msg);
+                    msg.put(&mut journal.bytes);
                 }
                 journal.msgs += applied_n as u64;
             }
@@ -587,7 +560,7 @@ fn worker_loop(ctx: WorkerCtx) {
             }
             since_epoch += applied_n as u64;
             if since_epoch >= ctx.checkpoint_every as u64 {
-                cut_epoch(&ctx);
+                cut_epoch(&ctx.durable, &ctx.state, false);
                 since_epoch = 0;
             }
         }
@@ -607,25 +580,22 @@ fn worker_loop(ctx: WorkerCtx) {
 }
 
 /// Cut one durability epoch: move everything the journal covers into the
-/// delta chain (or collapse the whole image into a fresh full base once
-/// the chain reaches [`MAX_DELTA_CHAIN`]), then reset the journal. Locks
-/// nest checkpoint → journal → state, per the declared chain, so the
-/// image, journal, and epoch tracking move atomically.
-fn cut_epoch(ctx: &WorkerCtx) {
-    let mut image = relock(ctx.durable.checkpoint.lock()); // lock: checkpoint
-    let mut journal = relock(ctx.durable.journal.lock()); // lock: journal
+/// image chain as one more delta — or, when `collapse` is asked for or the
+/// chain has reached [`MAX_DELTA_CHAIN`], replace the whole chain with a
+/// fresh full base, so respawn replay and image size stay bounded — then
+/// reset the journal. Locks nest checkpoint → journal → state, per the
+/// declared chain, so the images, journal, and epoch tracking move
+/// atomically.
+fn cut_epoch(durable: &Durable, state: &TrackedMutex<ShardState>, collapse: bool) {
+    let mut images = relock(durable.images.lock()); // lock: checkpoint
+    let mut journal = relock(durable.journal.lock()); // lock: journal
     {
-        let mut st = relock(ctx.state.lock()); // lock: state
-        if image.deltas.len() + 1 >= MAX_DELTA_CHAIN {
-            // Collapse: pay for one full base now so respawn replay and
-            // image size stay bounded by the chain length.
-            let ck = st.checkpoint();
-            let _ = st.take_delta(); // open a fresh epoch over the new base
-            image.base = cdipack::encode_checkpoint(ctx.period_start, &ck);
-            image.deltas.clear();
+        let mut st = relock(state.lock()); // lock: state
+        if collapse || images.len() >= MAX_DELTA_CHAIN {
+            images.clear();
+            images.push(cdipack::encode(&st.take_base()));
         } else {
-            let delta = st.take_delta();
-            image.deltas.push(cdipack::encode_delta(&delta));
+            images.push(cdipack::encode(&st.take_delta()));
         }
     }
     *journal = JournalBuf::default();
@@ -650,9 +620,9 @@ impl Shard {
     }
 
     /// Spawn a shard worker over pre-built state, wired into the service's
-    /// shared metrics/event log. The initial checkpoint is taken from
-    /// `state` itself, so a crash before the first periodic checkpoint
-    /// still recovers everything the shard started with.
+    /// shared metrics/event log. The base image is cut from `state`
+    /// itself, so a crash before the first periodic epoch cut still
+    /// recovers everything the shard started with.
     pub fn spawn_supervised(
         mut state: ShardState,
         queue_capacity: usize,
@@ -661,15 +631,9 @@ impl Shard {
         metrics: Arc<ServiceMetrics>,
     ) -> Shard {
         let period_start = state.period_start;
-        let base = cdipack::encode_checkpoint(period_start, &state.checkpoint());
-        // The base covers everything in `state`; open a fresh epoch on top
-        // so the first delta never re-describes pre-base history.
-        let _ = state.take_delta();
+        let base = cdipack::encode(&state.take_base());
         let durable = Arc::new(Durable {
-            checkpoint: TrackedMutex::new(
-                "checkpoint",
-                DurableImage { base, deltas: Vec::new() },
-            ),
+            images: TrackedMutex::new("checkpoint", vec![base]),
             journal: TrackedMutex::new("journal", JournalBuf::default()),
         });
         let shard = Shard {
@@ -743,8 +707,8 @@ impl Shard {
     }
 
     /// Supervision: if the worker is dead, rebuild the state from the
-    /// last checkpoint plus journal replay and spawn a fresh worker over
-    /// the same queue. Returns `true` if a respawn happened.
+    /// durable image chain plus journal replay and spawn a fresh worker
+    /// over the same queue. Returns `true` if a respawn happened.
     pub fn respawn_if_dead(&self) -> bool {
         if self.alive.load(Ordering::SeqCst) {
             return false;
@@ -756,50 +720,45 @@ impl Shard {
             return false;
         }
         if let Some(h) = worker.take() {
+            // lint-allow(R7): respawn joins the dead worker under the worker mutex: the worker thread never takes its own handle mutex, and holding it is what prevents two supervisors from double-spawning
             let _ = h.join();
         }
-        // Rebuild from bytes: the base checkpoint, then the delta chain,
-        // then everything journaled since the last cut. Everything is
-        // cloned out so decode and replay hold no durable lock.
-        let (base, deltas) = {
-            let image = relock(self.durable.checkpoint.lock());
-            (image.base.clone(), image.deltas.clone())
-        };
+        // Rebuild from bytes: every image in the chain, then everything
+        // journaled since the last cut. Everything is cloned out so decode
+        // and replay hold no durable lock.
+        let images = relock(self.durable.images.lock()).clone();
         let (journal_bytes, journal_msgs) = {
             let journal = relock(self.durable.journal.lock());
             (journal.bytes.as_slice().to_vec(), journal.msgs)
         };
         // The base is the state a never-crashed shard would also hold; the
         // recovery cost this measures is everything replayed *on top*.
-        let mut replayed_bytes = journal_bytes.len() as u64;
+        let replayed_bytes = journal_bytes.len() as u64
+            + images.iter().skip(1).map(|bytes| bytes.len() as u64).sum::<u64>();
         // Decode is total: a corrupt image yields a degraded-but-serving
-        // shard plus bumped rejection counts, never a dead pool.
-        let mut st = match cdipack::decode_checkpoint(&base) {
-            Ok((ps, ck)) => ShardState::from_checkpoint(ps, &ck),
-            Err(_) => {
-                let mut fresh = ShardState::new(self.period_start);
-                fresh.set_rejected(1);
-                fresh
-            }
-        };
-        for bytes in &deltas {
-            replayed_bytes += bytes.len() as u64;
-            match cdipack::decode_delta(bytes) {
+        // shard plus bumped rejection counts, never a dead pool. Failures
+        // are counted here and added after the replay, because every good
+        // delta overwrites the state's counter with its own.
+        let mut corrupt = 0u64;
+        let mut st = ShardState::new(self.period_start);
+        for bytes in &images {
+            match cdipack::decode::<ShardDelta>(bytes) {
                 Ok(delta) => st.apply_delta(&delta),
-                Err(_) => st.set_rejected(st.rejected() + 1),
+                Err(_) => corrupt += 1,
             }
         }
         let mut records = PackReader::new(&journal_bytes);
         while !records.is_done() {
-            match cdipack::take_shard_msg(&mut records) {
+            match ShardMsg::take(&mut records) {
                 Ok(msg) => st.apply(msg),
                 Err(_) => {
                     // A torn journal tail: keep what decoded cleanly.
-                    st.set_rejected(st.rejected() + 1);
+                    corrupt += 1;
                     break;
                 }
             }
         }
+        st.rejected += corrupt;
         let restored_targets = st.target_count();
         *relock(self.state.lock()) = st;
         // Publish the healed state before the new worker starts draining.
@@ -818,12 +777,13 @@ impl Shard {
     /// Sizes of this shard's durable image — how many bytes a respawn
     /// right now would decode (base) and replay (deltas + journal).
     pub fn durable_stats(&self) -> DurableStats {
-        let image = relock(self.durable.checkpoint.lock()); // lock: checkpoint
+        let images = relock(self.durable.images.lock()); // lock: checkpoint
         let journal = relock(self.durable.journal.lock()); // lock: journal
+        let len = |bytes: &Vec<u8>| bytes.len() as u64;
         DurableStats {
-            base_bytes: image.base.len() as u64,
-            delta_bytes: image.deltas.iter().map(|d| d.len() as u64).sum(),
-            delta_count: image.deltas.len(),
+            base_bytes: images.first().map_or(0, len),
+            delta_bytes: images.iter().skip(1).map(len).sum(),
+            delta_count: images.len().saturating_sub(1),
             journal_bytes: journal.bytes.len() as u64,
             journal_msgs: journal.msgs,
         }
@@ -838,16 +798,7 @@ impl Shard {
     /// Call only after [`Shard::flush`] with producers paused — e.g. under
     /// a lifecycle fence, or from a test that owns the whole stream.
     pub fn compact_durable(&self) {
-        let mut image = relock(self.durable.checkpoint.lock()); // lock: checkpoint
-        let mut journal = relock(self.durable.journal.lock()); // lock: journal
-        {
-            let mut st = relock(self.state.lock()); // lock: state
-            let ck = st.checkpoint();
-            let _ = st.take_delta(); // reopen the epoch over the new base
-            image.base = cdipack::encode_checkpoint(self.period_start, &ck);
-            image.deltas.clear();
-        }
-        *journal = JournalBuf::default();
+        cut_epoch(&self.durable, &self.state, true);
     }
 
     /// Block until every message accepted so far has been applied,
@@ -911,6 +862,7 @@ impl Shard {
             // A worker that panicked already poisoned nothing we read past
             // this point; ignore the join error rather than propagating a
             // panic through shutdown.
+            // lint-allow(R7): shutdown joins the worker under the worker mutex after closing the queue: the worker is draining to exit and never takes this mutex, same double-spawn argument as respawn
             let _ = h.join();
         }
     }
@@ -919,8 +871,9 @@ impl Shard {
 /// Default number of applied messages between durability epoch cuts.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 512;
 
-/// Deltas chained on a base before an epoch cut collapses the image into
-/// a fresh full base — bounds both respawn replay length and image size.
+/// Images (the base plus its deltas) in the chain at which the next
+/// epoch cut collapses it into a fresh full base — bounds both respawn
+/// replay length and image size.
 pub const MAX_DELTA_CHAIN: usize = 8;
 
 /// Most messages the worker drains per queue wake-up: one journal lock,
@@ -1014,7 +967,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_restore_target() {
+    fn snapshot_round_trips_through_from_parts() {
         let mut st = ShardState::new(0);
         st.apply(ShardMsg::Span {
             target: Target::Vm(4),
@@ -1024,9 +977,7 @@ mod tests {
         let snaps = st.snapshot();
         assert_eq!(snaps.len(), 1);
 
-        let mut revived = ShardState::new(0);
-        revived.set_watermark(minutes(10));
-        revived.restore_target(&snaps[0]).unwrap();
+        let mut revived = ShardState::from_parts(0, minutes(10), 0, &snaps).unwrap();
         revived.apply(ShardMsg::Watermark(minutes(40)));
         st.apply(ShardMsg::Watermark(minutes(40)));
         let a = st.point(Target::Vm(4)).unwrap().unwrap();
@@ -1034,8 +985,7 @@ mod tests {
         assert!((a.performance - b.performance).abs() < 1e-15);
 
         // Watermark mismatch is rejected.
-        let mut stale = ShardState::new(0);
-        assert!(stale.restore_target(&snaps[0]).is_err());
+        assert!(ShardState::from_parts(0, 0, 0, &snaps).is_err());
     }
 
     /// Deterministic seeded kill/respawn: a shard crashed at a fixed point
@@ -1149,6 +1099,48 @@ mod tests {
             )),
             "respawn must be recorded in the event log: {events:?}"
         );
+    }
+
+    /// A corrupt image must stay on the books: the base fails to decode,
+    /// the good delta after it replays (and carries its own authoritative
+    /// rejection count of zero), and the respawned shard still reports the
+    /// failure while serving what it could recover.
+    #[test]
+    fn respawn_keeps_the_evidence_of_a_corrupt_image() {
+        let shard = Shard::spawn_supervised(
+            ShardState::new(0),
+            64,
+            4, // cut an epoch every 4 messages
+            0,
+            Arc::new(ServiceMetrics::default()),
+        );
+        for vm in 0..4u64 {
+            shard.queue.push_blocking(ShardMsg::Span {
+                target: Target::Vm(vm),
+                span: span(0, 10, 0.5, Category::Performance),
+            });
+            shard.note_enqueued();
+        }
+        shard.flush();
+        // The cut follows the flush notification; wait for it to land.
+        while shard.durable_stats().delta_count == 0 {
+            std::thread::yield_now();
+        }
+        shard.kill();
+        while shard.is_alive() {
+            std::thread::yield_now();
+        }
+        relock(shard.durable.images.lock())[0][0] ^= 0xFF;
+
+        assert!(shard.respawn_if_dead());
+        shard.queue.push_blocking(ShardMsg::Watermark(minutes(60)));
+        shard.note_enqueued();
+        shard.flush();
+        shard.with_state(|st| {
+            assert!(st.rejected() >= 1, "decode failure erased: rejected = {}", st.rejected());
+            assert_eq!(st.target_count(), 4, "the good delta still restores its targets");
+            assert_eq!(st.watermark(), minutes(60), "the respawned shard serves");
+        });
     }
 
     /// The incremental-durability guarantee, measured: after a compaction,

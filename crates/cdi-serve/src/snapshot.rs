@@ -1,4 +1,5 @@
-//! The service snapshot format: two dialects over one logical state.
+//! The service snapshot: the whole durable state of a service, in one
+//! persisted form.
 //!
 //! A snapshot is the full durable state of a [`crate::service::CdiService`]
 //! at a flushed watermark: one [`crate::shard::TargetSnapshot`] per target
@@ -8,18 +9,16 @@
 //! an operator can restore into a different deployment shape (that is the
 //! re-sharding procedure: snapshot, restore at the new width).
 //!
-//! Snapshots serialize either as inspectable serde-JSON
-//! ([`ServiceSnapshot::to_json`]) or as the compact columnar `cdipack`
-//! binary ([`ServiceSnapshot::to_pack`], see [`crate::cdipack`] for the
-//! byte layout). The two dialects are interchangeable: decode of either
-//! yields the same [`ServiceSnapshot`] value, so a restore is bit-for-bit
-//! identical no matter which encoding carried it.
+//! Snapshots persist as compact columnar `cdipack` bytes
+//! ([`ServiceSnapshot::to_pack`]; see [`crate::cdipack`] for the layout).
+//! To read one by eye, ask a running server: the JSON-lines wire answers
+//! `"Snapshot"` with the same value rendered as JSON.
 //!
 //! Restores re-validate every accumulator invariant; a corrupted or
 //! hand-edited snapshot surfaces a typed error instead of a silently wrong
 //! CDI.
 
-use cdi_core::error::{CdiError, Result};
+use cdi_core::error::Result;
 use cdi_core::time::Timestamp;
 use serde::{Deserialize, Serialize};
 
@@ -41,27 +40,14 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self)
-            .map_err(|e| CdiError::invalid(format!("snapshot serialization failed: {e}")))
-    }
-
-    /// Parse from a JSON string.
-    pub fn from_json(s: &str) -> Result<ServiceSnapshot> {
-        serde_json::from_str(s)
-            .map_err(|e| CdiError::invalid(format!("snapshot parse failed: {e}")))
-    }
-
-    /// Serialize to compact columnar `cdipack` bytes
-    /// ([`crate::cdipack::encode_snapshot`]).
+    /// Serialize to compact columnar `cdipack` bytes.
     pub fn to_pack(&self) -> Vec<u8> {
-        crate::cdipack::encode_snapshot(self)
+        crate::cdipack::encode(self)
     }
 
     /// Parse from `cdipack` bytes. Total on arbitrary input: truncation,
     /// bit flips, and trailing garbage all surface as typed errors.
     pub fn from_pack(bytes: &[u8]) -> Result<ServiceSnapshot> {
-        crate::cdipack::decode_snapshot(bytes)
+        crate::cdipack::decode(bytes)
     }
 }

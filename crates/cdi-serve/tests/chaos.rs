@@ -82,17 +82,17 @@ fn kill_and_restore_mid_stream_converges() {
     stream(&uninterrupted, &feed, 0..feed.batches.len());
 
     // Victim: first half, then snapshot, serialize, and "crash".
-    let json = {
+    let bytes = {
         let mut victim = CdiService::new(cfg(3)).unwrap().with_fleet_routing(&world.fleet);
         stream(&victim, &feed, 0..cut);
         let snap = victim.snapshot();
         victim.shutdown();
-        snap.to_json().unwrap()
+        snap.to_pack()
     };
 
     // Revive from the serialized bytes at a *different* shard width and
     // finish the day.
-    let snap = ServiceSnapshot::from_json(&json).unwrap();
+    let snap = ServiceSnapshot::from_pack(&bytes).unwrap();
     let revived =
         CdiService::restore(cfg(5), &snap).unwrap().with_fleet_routing(&world.fleet);
     assert_eq!(revived.watermark(), snap.watermark);
@@ -140,7 +140,7 @@ fn snapshot_bytes_are_stable_for_identical_state() {
 
     // Same stream through different shard counts → byte-identical
     // snapshots (targets are sorted, accumulators are deterministic).
-    let mut jsons = Vec::new();
+    let mut packs = Vec::new();
     for shards in [1usize, 4] {
         let svc = CdiService::new(cfg(shards)).unwrap().with_fleet_routing(&world.fleet);
         stream(&svc, &feed, 0..feed.batches.len());
@@ -153,18 +153,18 @@ fn snapshot_bytes_are_stable_for_identical_state() {
         snap.metrics.shards = 0;
         snap.metrics.queue_depth = 0;
         snap.metrics.queue_depth_hwm = 0;
-        jsons.push(snap.to_json().unwrap());
+        packs.push(snap.to_pack());
     }
-    assert_eq!(jsons[0], jsons[1]);
+    assert_eq!(packs[0], packs[1]);
 
     // And the round-trip is lossless.
-    let back = ServiceSnapshot::from_json(&jsons[0]).unwrap();
-    assert_eq!(back.to_json().unwrap(), jsons[0]);
+    let back = ServiceSnapshot::from_pack(&packs[0]).unwrap();
+    assert_eq!(back.to_pack(), packs[0]);
 }
 
 #[test]
 fn restore_rejects_corrupt_snapshots() {
-    assert!(ServiceSnapshot::from_json("{not json").is_err());
+    assert!(ServiceSnapshot::from_pack(b"{not cdipack").is_err());
     let snap = ServiceSnapshot {
         period_start: 10,
         watermark: 5, // precedes period start

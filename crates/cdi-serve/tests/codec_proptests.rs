@@ -1,15 +1,18 @@
 //! Property-based tests of the cdipack codec: arbitrary accumulated
-//! states round-trip through the columnar snapshot encoding bit-exactly,
-//! re-encoding is byte-deterministic, and the decoder is *total* — any
+//! states and ingest batches obey the same [`common::assert_pack_laws`]
+//! laws as the fixed corpus in `pack_laws.rs` — bit-exact round trip,
+//! byte-deterministic re-encode, and a decoder that is *total*: any
 //! truncation or bit flip anywhere in the byte stream yields a typed
 //! error or a (harmless) decoded value, never a panic.
 
+mod common;
+
 use cdi_core::event::{Category, EventSpan, Target};
 use cdi_core::time::minutes;
-use cdi_serve::cdipack::{self, decode_snapshot, encode_snapshot};
-use cdi_serve::shard::{ShardMsg, ShardState};
-use cdi_serve::snapshot::ServiceSnapshot;
 use cdi_serve::proto::{IngestItem, Request};
+use cdi_serve::shard::{ShardMsg, ShardState};
+use cdi_serve::{MetricsReport, ServiceSnapshot, ShardDelta};
+use common::assert_pack_laws;
 use proptest::prelude::*;
 
 const HORIZON_MIN: i64 = 600;
@@ -38,56 +41,71 @@ fn delivery_strategy() -> impl Strategy<Value = (Target, EventSpan)> {
         })
 }
 
-/// Accumulate the deliveries into a snapshot the way the service would:
-/// through a shard state, watermark last, open spans left open.
-fn build_snapshot(deliveries: &[(Target, EventSpan)], mark: i64) -> ServiceSnapshot {
+/// Accumulate the deliveries the way the service would: through a shard
+/// state, watermark last, open spans left open.
+fn accumulate(deliveries: &[(Target, EventSpan)], mark: i64) -> ShardState {
     let mut st = ShardState::new(0);
     for (target, span) in deliveries {
         st.apply(ShardMsg::Span { target: *target, span: span.clone() });
     }
     st.apply(ShardMsg::Watermark(minutes(mark)));
+    st
+}
+
+fn build_snapshot(deliveries: &[(Target, EventSpan)], mark: i64) -> ServiceSnapshot {
+    let st = accumulate(deliveries, mark);
     ServiceSnapshot {
         period_start: 0,
         watermark: st.watermark(),
         targets: st.snapshot(),
-        metrics: cdipack::empty_metrics(),
+        metrics: MetricsReport::default(),
     }
 }
 
 proptest! {
-    /// Decode of encode is the identity — on the full structure, open
-    /// spans, f64 frozen integrals and all, for arbitrary accumulated
-    /// state. This is the guarantee that lets the binary snapshot replace
-    /// the JSON one without a parity caveat.
+    /// The full snapshot structure — open spans, f64 frozen integrals and
+    /// all — for arbitrary accumulated state.
     #[test]
-    fn snapshot_round_trips_bit_exactly(
-        deliveries in prop::collection::vec(delivery_strategy(), 1..60),
+    fn snapshots_obey_the_pack_laws(
+        deliveries in prop::collection::vec(delivery_strategy(), 1..30),
         mark in 1i64..=HORIZON_MIN,
     ) {
-        let snap = build_snapshot(&deliveries, mark);
-        let bytes = encode_snapshot(&snap);
-        let back = decode_snapshot(&bytes).unwrap();
-        prop_assert_eq!(back, snap);
+        assert_pack_laws(&build_snapshot(&deliveries, mark));
     }
 
-    /// Encoding is byte-deterministic: re-encoding a decoded snapshot
-    /// reproduces the exact byte string. (The CI quick-bench leans on
-    /// this to diff two independent runs.)
+    /// A shard's durable image (the base shape: every target, one advance
+    /// to the watermark) over the same arbitrary state.
     #[test]
-    fn reencode_is_byte_identical(
-        deliveries in prop::collection::vec(delivery_strategy(), 1..40),
+    fn shard_deltas_obey_the_pack_laws(
+        deliveries in prop::collection::vec(delivery_strategy(), 1..30),
         mark in 1i64..=HORIZON_MIN,
     ) {
-        let snap = build_snapshot(&deliveries, mark);
-        let bytes = encode_snapshot(&snap);
-        let again = encode_snapshot(&decode_snapshot(&bytes).unwrap());
-        prop_assert_eq!(again, bytes);
+        let st = accumulate(&deliveries, mark);
+        assert_pack_laws(&ShardDelta {
+            from_watermark: 0,
+            to_watermark: st.watermark(),
+            rejected: st.rejected(),
+            advances: vec![st.watermark()],
+            changed: st.snapshot(),
+        });
     }
 
-    /// The decoder is total under corruption: flip any byte by any mask
-    /// and/or truncate at any point — decode returns, it never panics.
-    /// (A flip that happens to decode is fine; restore-path validation is
-    /// the semantic backstop.)
+    /// Batched ingest requests — the hot wire path — with their
+    /// dictionaries intact.
+    #[test]
+    fn ingest_batches_obey_the_pack_laws(
+        deliveries in prop::collection::vec(delivery_strategy(), 1..50),
+    ) {
+        assert_pack_laws(&Request::IngestBatch {
+            items: deliveries
+                .into_iter()
+                .map(|(target, span)| IngestItem { target, span })
+                .collect(),
+        });
+    }
+
+    /// The laws flip each byte with one fixed mask; here the mask, the
+    /// position and the truncation point are all arbitrary.
     #[test]
     fn snapshot_decoder_is_total_under_corruption(
         deliveries in prop::collection::vec(delivery_strategy(), 1..20),
@@ -96,28 +114,11 @@ proptest! {
         mask in 1u8..=255,
         cut in 0usize..4096,
     ) {
-        let snap = build_snapshot(&deliveries, mark);
-        let mut bytes = encode_snapshot(&snap);
+        let mut bytes = build_snapshot(&deliveries, mark).to_pack();
         let at = at % bytes.len();
         bytes[at] ^= mask;
         let cut = cut % (bytes.len() + 1);
-        let _ = decode_snapshot(&bytes[..cut]).map(|_| ());
-        let _ = decode_snapshot(&bytes).map(|_| ());
-    }
-
-    /// Batched ingest requests — the hot wire path — round-trip through
-    /// the frame codec with their dictionaries intact.
-    #[test]
-    fn ingest_batches_round_trip(
-        deliveries in prop::collection::vec(delivery_strategy(), 1..50),
-    ) {
-        let req = Request::IngestBatch {
-            items: deliveries
-                .into_iter()
-                .map(|(target, span)| IngestItem { target, span })
-                .collect(),
-        };
-        let bytes = cdipack::encode_request(&req);
-        prop_assert_eq!(cdipack::decode_request(&bytes).unwrap(), req);
+        let _ = ServiceSnapshot::from_pack(&bytes[..cut]).map(|_| ());
+        let _ = ServiceSnapshot::from_pack(&bytes).map(|_| ());
     }
 }

@@ -495,6 +495,7 @@ impl<T: Data> Dataset<T> {
     pub fn collect(&self, ctx: &ExecContext) -> Vec<T> {
         match self.try_collect(ctx) {
             Ok(out) => out,
+            // lint-allow(R1): collect(): documented panicking twin of try_collect(); panic on exhausted retries is the API contract
             Err(e) => panic!("{e}"),
         }
     }
@@ -510,6 +511,7 @@ impl<T: Data> Dataset<T> {
     pub fn count(&self, ctx: &ExecContext) -> usize {
         match self.try_count(ctx) {
             Ok(n) => n,
+            // lint-allow(R1): count(): documented panicking twin of try_count()
             Err(e) => panic!("{e}"),
         }
     }
@@ -546,6 +548,7 @@ impl<T: Data> Dataset<T> {
     ) -> A {
         match self.try_fold(ctx, init, fold, merge) {
             Ok(a) => a,
+            // lint-allow(R1): fold(): documented panicking twin of try_fold()
             Err(e) => panic!("{e}"),
         }
     }

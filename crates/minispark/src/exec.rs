@@ -315,8 +315,7 @@ impl ExecContext {
                     })
                 })
                 .collect();
-            // Workers cannot panic: every user closure runs under
-            // catch_unwind inside run_task.
+            // lint-allow(R1): join() on a pool worker: user closures run under catch_unwind inside run_task, so a worker panic is a harness bug, not a task failure
             handles.into_iter().map(|h| h.join().expect("worker survived")).collect()
         });
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -342,6 +341,7 @@ impl ExecContext {
         }
         Ok(slots
             .into_iter()
+            // lint-allow(R1): slot claimed for every index by the work-stealing cursor when no task errored; structural invariant of try_parallel_indexed
             .map(|s| s.expect("every index was claimed"))
             .collect())
     }
@@ -356,6 +356,7 @@ impl ExecContext {
     {
         match self.try_parallel_indexed(n, f) {
             Ok(out) => out,
+            // lint-allow(R1): parallel_indexed(): documented panicking twin of try_parallel_indexed()
             Err(e) => panic!("stage failed: {e}"),
         }
     }

@@ -24,7 +24,7 @@
 //!   what makes joins co-partition and committed results reproducible.
 //! - [`store`] — the storage substrates of the paper's Fig. 4: an
 //!   append-only time-indexed [`store::EventLog`] (Simple Log Service
-//!   stand-in), columnar [`store::Table`]s with CSV/JSON/`cdipack`
+//!   stand-in), columnar [`store::Table`]s with `cdipack` (`.cdp`)
 //!   persistence (MaxCompute stand-in) and a versioned [`store::ConfigStore`]
 //!   (MySQL stand-in).
 //! - [`pack`] — the `cdipack` binary encoding primitives (varints, zigzag

@@ -3,7 +3,7 @@
 //! | Paper (production)         | Here                          |
 //! |----------------------------|-------------------------------|
 //! | Simple Log Service (SLS)   | [`EventLog`] — append-only, time-indexed |
-//! | MaxCompute tables          | [`Table`] / [`Catalog`] — columnar, CSV/JSON/`cdipack` persistence |
+//! | MaxCompute tables          | [`Table`] / [`Catalog`] — columnar, `cdipack` (`.cdp`) persistence |
 //! | MySQL configuration        | [`ConfigStore`] — versioned key-value store |
 
 mod config;

@@ -1,14 +1,14 @@
-//! Columnar tables with CSV and JSON-lines persistence — the MaxCompute
-//! stand-in.
+//! Columnar tables persisted as `cdipack` files — the MaxCompute stand-in.
 //!
 //! The CDI job writes two output tables (Section V): per-VM daily indicators
 //! and per-(event, VM) drill-down rows. [`Table`] stores such data in typed
-//! columns; [`Catalog`] is a directory of named tables.
+//! columns; [`Catalog`] is a directory of named tables, one `{name}.cdp`
+//! file each. `experiments dump <file.cdp>` prints one as JSON.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -335,72 +335,6 @@ impl Table {
 
     // --- persistence -------------------------------------------------------
 
-    /// Write as CSV with a header row (RFC-4180-style quoting).
-    pub fn to_csv(&self, path: &Path) -> Result<()> {
-        let mut w = BufWriter::new(fs::File::create(path)?);
-        let header: Vec<String> =
-            self.schema.iter().map(|(n, _)| csv_escape(n)).collect();
-        writeln!(w, "{}", header.join(","))?;
-        for r in self.rows() {
-            let cells: Vec<String> = r.iter().map(|v| csv_escape(&v.to_string())).collect();
-            writeln!(w, "{}", cells.join(","))?;
-        }
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Read a CSV written by [`Table::to_csv`], interpreting cells per the
-    /// given schema (the header must match the schema's column names).
-    pub fn from_csv(path: &Path, schema: Schema) -> Result<Table> {
-        let r = BufReader::new(fs::File::open(path)?);
-        let mut lines = r.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| SparkError::schema("empty CSV file"))??;
-        let names: Vec<String> = parse_csv_line(&header);
-        let expected: Vec<String> = schema.iter().map(|(n, _)| n.to_string()).collect();
-        if names != expected {
-            return Err(SparkError::schema(format!(
-                "CSV header {names:?} does not match schema {expected:?}"
-            )));
-        }
-        let mut table = Table::new(schema);
-        for line in lines {
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let cells = parse_csv_line(&line);
-            if cells.len() != table.schema.len() {
-                return Err(SparkError::schema(format!(
-                    "CSV row has {} cells, expected {}",
-                    cells.len(),
-                    table.schema.len()
-                )));
-            }
-            let mut row = Row::with_capacity(cells.len());
-            for (i, cell) in cells.into_iter().enumerate() {
-                let (_, t) = table.schema.field(i);
-                row.push(parse_cell(&cell, t)?);
-            }
-            table.push_row(row)?;
-        }
-        Ok(table)
-    }
-
-    /// Write as JSON (schema + columns), full fidelity.
-    pub fn to_json(&self, path: &Path) -> Result<()> {
-        let w = BufWriter::new(fs::File::create(path)?);
-        serde_json::to_writer(w, self)?;
-        Ok(())
-    }
-
-    /// Read a JSON table written by [`Table::to_json`].
-    pub fn from_json(path: &Path) -> Result<Table> {
-        let r = BufReader::new(fs::File::open(path)?);
-        Ok(serde_json::from_reader(r)?)
-    }
-
     /// Encode as `cdipack` bytes: a columnar binary layout with
     /// zigzag-delta integer columns, bit-exact float columns, and
     /// dictionary-encoded string columns. See `DESIGN.md` §11.
@@ -667,55 +601,8 @@ impl PackedTable {
     }
 }
 
-fn parse_cell(cell: &str, t: ColumnType) -> Result<Value> {
-    match t {
-        ColumnType::Int => cell
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|e| SparkError::schema(format!("bad int '{cell}': {e}"))),
-        ColumnType::Float => cell
-            .parse::<f64>()
-            .map(Value::Float)
-            .map_err(|e| SparkError::schema(format!("bad float '{cell}': {e}"))),
-        ColumnType::Str => Ok(Value::Str(cell.to_string())),
-    }
-}
-
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-fn parse_csv_line(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => out.push(std::mem::take(&mut cur)),
-            c => cur.push(c),
-        }
-    }
-    out.push(cur);
-    out
-}
-
-/// A directory of named tables. Two on-disk dialects coexist: JSON
-/// (`{name}.json`, human-greppable) and `cdipack` (`{name}.cdp`, the
-/// compact binary columnar format). [`Catalog::load`] resolves either.
+/// A directory of named tables, each stored as `{name}.cdp` (`cdipack`,
+/// the compact binary columnar format).
 #[derive(Debug)]
 pub struct Catalog {
     dir: PathBuf,
@@ -729,52 +616,35 @@ impl Catalog {
         Ok(Catalog { dir })
     }
 
-    /// Persist a table under a name as JSON (overwrites).
-    pub fn save(&self, name: &str, table: &Table) -> Result<()> {
-        table.to_json(&self.json_path_of(name))
-    }
-
-    /// Persist a table under a name as `cdipack` (overwrites).
+    /// Persist a table under a name (overwrites).
     pub fn save_packed(&self, name: &str, table: &Table) -> Result<()> {
         table.to_pack(&self.pack_path_of(name))
     }
 
-    /// Load a table by name: the JSON file wins if both dialects exist
-    /// (it is the older, authoritative artifact), otherwise the `cdipack`
-    /// file is decoded and materialized (free moves — the decode's
+    /// Load a table by name, materialized (free moves — the decode's
     /// partitions have no other owner yet).
     pub fn load(&self, name: &str) -> Result<Table> {
-        let json = self.json_path_of(name);
-        if json.exists() {
-            return Table::from_json(&json);
-        }
-        let metrics = ExecMetrics::default();
-        Ok(Table::from_pack(&self.pack_path_of(name))?.into_table(&metrics))
+        Ok(self.load_packed(name)?.into_table(&ExecMetrics::default()))
     }
 
-    /// Load the `cdipack` dialect as a zero-copy [`PackedTable`].
+    /// Load a table by name as a zero-copy [`PackedTable`].
     pub fn load_packed(&self, name: &str) -> Result<PackedTable> {
         Table::from_pack(&self.pack_path_of(name))
     }
 
-    /// Names of the stored tables (either dialect), sorted and deduplicated.
+    /// Names of the stored tables, sorted.
     pub fn list(&self) -> Result<Vec<String>> {
         let mut names = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let p = entry?.path();
-            if p.extension().is_some_and(|e| e == "json" || e == "cdp") {
+            if p.extension().is_some_and(|e| e == "cdp") {
                 if let Some(stem) = p.file_stem().and_then(|s| s.to_str()) {
                     names.push(stem.to_string());
                 }
             }
         }
         names.sort();
-        names.dedup();
         Ok(names)
-    }
-
-    fn json_path_of(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.json"))
     }
 
     fn pack_path_of(&self, name: &str) -> PathBuf {
@@ -866,63 +736,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip_with_quoting() {
-        let dir = std::env::temp_dir().join(format!("minispark-csv-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut t = sample_table();
-        t.push_row(vec![
-            Value::Int(4),
-            Value::Float(0.5),
-            Value::Str("has,comma \"and\" quotes\nand newline".into()),
-        ])
-        .unwrap();
-        let path = dir.join("t.csv");
-        // Newlines inside cells are not supported by the line-based reader;
-        // write a version without the newline for the round-trip check.
-        let t2 = t.filter(|r| !matches!(&r[2], Value::Str(s) if s.contains('\n')));
-        t2.to_csv(&path).unwrap();
-        let back = Table::from_csv(&path, sample_schema()).unwrap();
-        assert_eq!(back, t2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn csv_escape_and_parse_inverse() {
-        for s in ["plain", "with,comma", "with\"quote", "\"wrapped\"", ""] {
-            let line = csv_escape(s);
-            assert_eq!(parse_csv_line(&line), vec![s.to_string()]);
-        }
-    }
-
-    #[test]
-    fn csv_header_mismatch_rejected() {
-        let dir = std::env::temp_dir().join(format!("minispark-csv2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        sample_table().to_csv(&path).unwrap();
-        let other = Schema::new(vec![("x", ColumnType::Int)]).unwrap();
-        assert!(Table::from_csv(&path, other).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let dir = std::env::temp_dir().join(format!("minispark-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.json");
-        let t = sample_table();
-        t.to_json(&path).unwrap();
-        assert_eq!(Table::from_json(&path).unwrap(), t);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn catalog_save_load_list() {
         let dir = std::env::temp_dir().join(format!("minispark-cat-{}", std::process::id()));
         let cat = Catalog::open(&dir).unwrap();
         let t = sample_table();
-        cat.save("vm_cdi", &t).unwrap();
-        cat.save("event_cdi", &t).unwrap();
+        cat.save_packed("vm_cdi", &t).unwrap();
+        cat.save_packed("event_cdi", &t).unwrap();
         assert_eq!(cat.list().unwrap(), vec!["event_cdi", "vm_cdi"]);
         assert_eq!(cat.load("vm_cdi").unwrap(), t);
         assert!(cat.load("missing").is_err());

@@ -2,9 +2,12 @@
 //!
 //! The parser is a deliberate TOML subset (no external deps): `#` comments,
 //! `[severity]` with `RULE = "deny"|"warn"` pairs, and repeated `[[allow]]`
-//! tables with `rule`, `path`, optional `line`, and mandatory `reason`
-//! string keys. Anything else is a hard error — an allowlist that silently
-//! drops entries would un-audit the exceptions it exists to audit.
+//! tables with `rule`, `path`, and mandatory `reason` string keys — each
+//! allows one rule across a whole file. Anything else is a hard error — an
+//! allowlist that silently drops entries would un-audit the exceptions it
+//! exists to audit. A single audited *site* is allowed where it stands,
+//! with an inline `// lint-allow(Rn): reason` marker on the line or the
+//! line above (see `engine`), so it moves with the code.
 //!
 //! ```toml
 //! [severity]
@@ -13,8 +16,7 @@
 //! [[allow]]
 //! rule = "R1"
 //! path = "crates/minispark/src/dataset.rs"
-//! line = 362            # optional: omit to allow the whole file
-//! reason = "collect() is the documented panicking twin of try_collect()"
+//! reason = "the panicking action wrappers are the documented twins of try_*"
 //! ```
 
 use crate::diagnostics::{Severity, Violation};
@@ -26,10 +28,8 @@ use std::collections::HashMap;
 pub struct AllowEntry {
     /// Rule being excepted.
     pub rule: RuleId,
-    /// Workspace-relative path the exception applies to.
+    /// Workspace-relative path the exception applies to (the whole file).
     pub path: String,
-    /// Specific line, or `None` for the whole file.
-    pub line: Option<u32>,
     /// Why this site is acceptable (mandatory: unexplained exceptions are
     /// how invariants rot).
     pub reason: String,
@@ -97,11 +97,6 @@ impl Config {
                             })?);
                         }
                         "path" => entry.path = Some(unquote(&value)?),
-                        "line" => {
-                            entry.line = Some(value.parse().map_err(|_| {
-                                format!("lint.toml:{lineno}: line must be an integer")
-                            })?);
-                        }
                         "reason" => entry.reason = Some(unquote(&value)?),
                         other => {
                             return Err(format!("lint.toml:{lineno}: unknown key `{other}`"));
@@ -126,9 +121,7 @@ impl Config {
 
     /// Index of the first allowlist entry matching the violation, if any.
     pub fn match_allow(&self, v: &Violation) -> Option<usize> {
-        self.allow.iter().position(|a| {
-            a.rule == v.rule && a.path == v.path && a.line.is_none_or(|l| l == v.line)
-        })
+        self.allow.iter().position(|a| a.rule == v.rule && a.path == v.path)
     }
 }
 
@@ -142,7 +135,6 @@ enum Section {
 struct PartialAllow {
     rule: Option<RuleId>,
     path: Option<String>,
-    line: Option<u32>,
     reason: Option<String>,
 }
 
@@ -154,7 +146,7 @@ impl PartialAllow {
         if reason.trim().is_empty() {
             return Err("lint.toml: [[allow]] reason must be non-empty".into());
         }
-        Ok(AllowEntry { rule, path, line: self.line, reason })
+        Ok(AllowEntry { rule, path, reason })
     }
 }
 
@@ -203,7 +195,6 @@ R5 = "deny"
 [[allow]]
 rule = "R1"
 path = "crates/minispark/src/dataset.rs"
-line = 362
 reason = "documented panicking twin"  # trailing comment
 
 [[allow]]
@@ -214,8 +205,7 @@ reason = "whole-file audit"
         )
         .unwrap();
         assert_eq!(cfg.allow.len(), 2);
-        assert_eq!(cfg.allow[0].line, Some(362));
-        assert_eq!(cfg.allow[1].line, None);
+        assert_eq!(cfg.allow[1].path, "crates/minispark/src/exec.rs");
         assert_eq!(cfg.severity_of(RuleId::R5), Severity::Deny);
         assert_eq!(cfg.severity_of(RuleId::R1), Severity::Deny);
     }
@@ -231,23 +221,5 @@ reason = "whole-file audit"
         let err =
             Config::parse("[[allow]]\nrule = \"R12\"\npath = \"x\"\nreason = \"r\"\n").unwrap_err();
         assert!(err.contains("unknown rule"), "{err}");
-    }
-
-    #[test]
-    fn line_match_semantics() {
-        let cfg = Config::parse(
-            "[[allow]]\nrule = \"R1\"\npath = \"a.rs\"\nline = 5\nreason = \"r\"\n",
-        )
-        .unwrap();
-        let mk = |line| Violation {
-            rule: RuleId::R1,
-            severity: Severity::Deny,
-            path: "a.rs".into(),
-            line,
-            message: String::new(),
-            hint: String::new(),
-        };
-        assert_eq!(cfg.match_allow(&mk(5)), Some(0));
-        assert_eq!(cfg.match_allow(&mk(6)), None);
     }
 }

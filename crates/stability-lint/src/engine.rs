@@ -15,7 +15,8 @@ pub struct Report {
     /// Violations that survived the allowlist, deny first then warn,
     /// grouped by path and line.
     pub violations: Vec<Violation>,
-    /// Violations suppressed by an allowlist entry.
+    /// Violations suppressed by a `lint.toml` entry or an inline
+    /// `// lint-allow(Rn): reason` marker.
     pub allowed: Vec<Violation>,
     /// Indices (into `Config::allow`) of entries that matched nothing:
     /// stale exceptions that should be deleted.
@@ -62,9 +63,10 @@ pub fn run_on_files(root: &Path, files: &[PathBuf], config: &Config) -> Result<R
         let source = fs::read_to_string(root.join(rel))
             .map_err(|e| format!("{rel_str}: {e}"))?;
         report.files_scanned += 1;
-        let (violations, edges) = lint_source_full(&rel_str, &crate_name, &source);
-        all_edges.extend(edges);
-        for v in violations {
+        let file = lint_file(&rel_str, &crate_name, &source);
+        all_edges.extend(file.edges);
+        report.allowed.extend(file.allowed);
+        for v in file.violations {
             if v.rule == RuleId::R6 {
                 seen_r6.push((v.path.clone(), v.line));
             }
@@ -114,13 +116,27 @@ pub fn lint_source(rel_path: &str, crate_name: &str, source: &str) -> Vec<Violat
 }
 
 /// [`lint_source`] plus the file's lock-graph edges (empty when R6 does
-/// not apply), so `run_on_files` can assemble the workspace-wide graph
-/// without lexing twice.
+/// not apply), so the workspace-wide graph can be assembled without
+/// lexing twice.
 pub fn lint_source_full(
     rel_path: &str,
     crate_name: &str,
     source: &str,
 ) -> (Vec<Violation>, Vec<LockEdge>) {
+    let file = lint_file(rel_path, crate_name, source);
+    (file.violations, file.edges)
+}
+
+/// Everything the engine learns from one file.
+struct FileLint {
+    /// Findings that stand, including stale-marker findings.
+    violations: Vec<Violation>,
+    /// Findings an inline marker suppressed.
+    allowed: Vec<Violation>,
+    edges: Vec<LockEdge>,
+}
+
+fn lint_file(rel_path: &str, crate_name: &str, source: &str) -> FileLint {
     let toks = lexer::lex(source);
     let in_test = rules::test_mask(&toks);
     let annots = Annotations::parse(source);
@@ -137,7 +153,42 @@ pub fn lint_source_full(
     } else {
         Vec::new()
     };
-    (out, edges)
+    let (violations, allowed) = apply_markers(rel_path, &annots, out);
+    FileLint { violations, allowed, edges }
+}
+
+/// Apply the file's `// lint-allow(Rn): reason` markers: a marker
+/// suppresses findings of its rule on its own line or the line below (the
+/// scan `// ordering:` and `// bound:` use). A marker with no finding
+/// under it is stale and is itself reported under the rule it names, so
+/// audited exceptions can only shrink.
+fn apply_markers(
+    rel_path: &str,
+    annots: &Annotations,
+    found: Vec<Violation>,
+) -> (Vec<Violation>, Vec<Violation>) {
+    let covers = |marker: &(u32, String), v: &Violation| {
+        v.rule.as_str() == marker.1 && (v.line == marker.0 || v.line == marker.0 + 1)
+    };
+    let (allowed, mut kept): (Vec<_>, Vec<_>) =
+        found.into_iter().partition(|v| annots.allow_markers.iter().any(|m| covers(m, v)));
+    for marker in &annots.allow_markers {
+        let Some(rule) = RuleId::parse(&marker.1) else { continue };
+        if !allowed.iter().any(|v| covers(marker, v)) {
+            kept.push(Violation {
+                rule,
+                severity: rule.default_severity(),
+                path: rel_path.to_string(),
+                line: marker.0,
+                message: format!(
+                    "stale `lint-allow({})` marker: no such finding on this line or the next",
+                    marker.1
+                ),
+                hint: "delete the marker — the exception it audited is gone".to_string(),
+            });
+        }
+    }
+    (kept, allowed)
 }
 
 /// Cycle-check the merged workspace lock graph, skipping witnesses whose

@@ -33,9 +33,13 @@
 //! asserts the *observed* acquisition graph stays inside the declared
 //! order during tests and chaos drills.
 //!
-//! Audited exceptions live in `lint.toml` at the workspace root — every
-//! entry carries a mandatory `reason`, and entries that stop matching are
-//! reported as stale so the allowlist can only shrink. Run it with:
+//! Audited exceptions are written where they apply: a
+//! `// lint-allow(Rn): reason` comment on the offending line or the line
+//! above it allows that one site, and a marker with no finding under it
+//! is itself reported (under the rule it names) so exceptions can only
+//! shrink. `lint.toml` at the workspace root holds the severity overrides
+//! and whole-file `[[allow]]` entries, with the same stale check. Run it
+//! with:
 //!
 //! ```text
 //! cargo run -p stability-lint            # human output, exit 1 on deny

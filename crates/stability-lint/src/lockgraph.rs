@@ -40,6 +40,9 @@ pub struct Annotations {
     pub ordering_ok: BTreeSet<u32>,
     /// Lines carrying a non-empty `// bound:` note.
     pub bound_ok: BTreeSet<u32>,
+    /// `// lint-allow(Rn): reason` markers with a non-empty reason:
+    /// (1-indexed line, rule name as written).
+    pub allow_markers: Vec<(u32, String)>,
 }
 
 impl Annotations {
@@ -72,6 +75,12 @@ impl Annotations {
             } else if let Some(reason) = rest.strip_prefix("bound:") {
                 if !reason.trim().is_empty() {
                     out.bound_ok.insert(line);
+                }
+            } else if let Some((rule, reason)) =
+                rest.strip_prefix("lint-allow(").and_then(|m| m.split_once("):"))
+            {
+                if !reason.trim().is_empty() {
+                    out.allow_markers.push((line, rule.trim().to_string()));
                 }
             }
         }

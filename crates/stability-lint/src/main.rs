@@ -120,10 +120,9 @@ fn main() -> ExitCode {
         for idx in &report.stale_allows {
             let a = &config.allow[*idx];
             eprintln!(
-                "stale allowlist entry: {} {} (line {:?}) no longer matches — delete it from lint.toml",
+                "stale allowlist entry: {} {} no longer matches — delete it from lint.toml",
                 a.rule.as_str(),
-                a.path,
-                a.line
+                a.path
             );
         }
         if !args.quiet {

@@ -318,3 +318,44 @@ fn r9_is_scoped_to_the_serving_layer() {
         "R9 is cdi-serve only, got {violations:?}"
     );
 }
+
+#[test]
+fn lint_allow_marker_suppresses_the_line_below_and_its_own_line() {
+    let src = "pub fn f(x: Option<u8>) -> u8 {\n\
+               // lint-allow(R1): documented panicking twin\n\
+               let a = x.unwrap();\n\
+               let b = x.unwrap(); // lint-allow(R1): same contract\n\
+               a + b\n\
+               }\n";
+    let violations = lint_source("crates/statskit/src/fixture.rs", "statskit", src);
+    assert!(violations.is_empty(), "both sites carry a marker, got {violations:?}");
+}
+
+#[test]
+fn lint_allow_marker_is_rule_specific_and_needs_a_reason() {
+    let src = "pub fn f(x: Option<u8>) -> u8 {\n\
+               // lint-allow(R2): wrong rule\n\
+               let a = x.unwrap();\n\
+               // lint-allow(R1):\n\
+               let b = x.unwrap();\n\
+               a + b\n\
+               }\n";
+    let got: Vec<(&str, u32)> = lint_source("crates/statskit/src/fixture.rs", "statskit", src)
+        .iter()
+        .map(|v| (v.rule.as_str(), v.line))
+        .collect();
+    // Both unwraps still fire; the R2 marker covers nothing, so it is stale.
+    assert_eq!(got, vec![("R1", 3), ("R1", 5), ("R2", 2)]);
+}
+
+#[test]
+fn stale_lint_allow_marker_is_reported_under_its_rule() {
+    let src = "pub fn f(x: Option<u8>) -> u8 {\n\
+               // lint-allow(R1): used to unwrap here\n\
+               x.unwrap_or(0)\n\
+               }\n";
+    let violations = lint_source("crates/statskit/src/fixture.rs", "statskit", src);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!((violations[0].rule, violations[0].line), (RuleId::R1, 2));
+    assert!(violations[0].message.contains("stale"), "{}", violations[0].message);
+}

@@ -78,8 +78,8 @@ fn fig4_deployment_loop_round_trips() {
     // Persist and reload both tables through the catalog, then query.
     let dir = std::env::temp_dir().join(format!("cdi-catalog-{}", std::process::id()));
     let catalog = Catalog::open(&dir).unwrap();
-    catalog.save("vm_cdi_daily", &job.vm_table).unwrap();
-    catalog.save("event_cdi_daily", &job.event_table).unwrap();
+    catalog.save_packed("vm_cdi_daily", &job.vm_table).unwrap();
+    catalog.save_packed("event_cdi_daily", &job.event_table).unwrap();
     let reloaded = catalog.load("vm_cdi_daily").unwrap();
     assert_eq!(reloaded, job.vm_table);
 
