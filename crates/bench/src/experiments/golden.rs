@@ -128,10 +128,6 @@ pub fn table4() -> Table4Result {
 mod tests {
     use super::*;
 
-    fn close(a: f64, b: f64, tol: f64) {
-        assert!((a - b).abs() < tol, "expected {b}, got {a}");
-    }
-
     #[test]
     fn fig3_periods_match_example_2() {
         // VM 1's spans have minute-aligned boundaries; the window is
@@ -147,19 +143,17 @@ mod tests {
     #[test]
     fn ex3_weight_is_0_625() {
         let r = ex3();
-        close(r.expert_weight, 0.75, 1e-12);
-        close(r.customer_weight, 0.5, 1e-12);
-        close(r.final_weight, 0.625, 1e-12);
+        assert_eq!((r.expert_weight, r.customer_weight, r.final_weight), (0.75, 0.5, 0.625));
     }
 
     #[test]
     fn table4_matches_paper_numbers() {
         let r = table4();
-        close(r.vm1, 0.020, 1e-12);
+        assert_eq!(r.vm1, 0.020);
         // Paper rounds 0.002083 to 0.002.
-        close(r.vm2, 3.0 / 1440.0, 1e-12);
-        close(r.vm3, 0.004, 1e-12);
+        assert_eq!(r.vm2, 3.0 / 1440.0);
+        assert_eq!(r.vm3, 0.004);
         // Paper rounds 0.00328 to 0.003.
-        close(r.all, 8.2 / 2500.0, 1e-12);
+        assert_eq!(r.all, 0.00328);
     }
 }

@@ -174,6 +174,17 @@ impl EventCatalog {
 /// windowed stateless events.
 pub const DEFAULT_WINDOW_MS: i64 = MINUTE_MS;
 
+/// Host-only telemetry: events on an NC that describe the host alone
+/// (TDP inspection) and so stay at NC scope instead of damaging the VMs it
+/// hosts. The one source of the rule for the batch pipeline, the daily job
+/// and the serving layer's default routing.
+pub const HOST_ONLY_EVENTS: [&str; 1] = ["inspect_cpu_power_tdp"];
+
+/// Does an NC event of this name stay at NC scope ([`HOST_ONLY_EVENTS`])?
+pub fn is_host_only(name: &str) -> bool {
+    HOST_ONLY_EVENTS.contains(&name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,6 +16,9 @@ pub enum CdiError {
     Degenerate(String),
     /// A statistics routine failed underneath (weights use AHP).
     Stats(String),
+    /// An integer damage integral left `u64` (more than 584 years of
+    /// weight-1 damage): reported, never wrapped.
+    Overflow(String),
 }
 
 impl CdiError {
@@ -37,6 +40,7 @@ impl fmt::Display for CdiError {
             CdiError::UnknownEvent(n) => write!(f, "unknown event name: {n}"),
             CdiError::Degenerate(m) => write!(f, "degenerate input: {m}"),
             CdiError::Stats(m) => write!(f, "statistics error: {m}"),
+            CdiError::Overflow(m) => write!(f, "damage integral overflow: {m}"),
         }
     }
 }

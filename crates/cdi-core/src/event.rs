@@ -79,6 +79,16 @@ impl Category {
     /// All categories, in the paper's order.
     pub const ALL: [Category; 3] =
         [Category::Unavailability, Category::Performance, Category::ControlPlane];
+
+    /// Position of this category in [`Category::ALL`] — the index of its
+    /// slot in every per-target `[_; 3]` triple.
+    pub fn index(self) -> usize {
+        match self {
+            Category::Unavailability => 0,
+            Category::Performance => 1,
+            Category::ControlPlane => 2,
+        }
+    }
 }
 
 impl fmt::Display for Category {

@@ -5,7 +5,9 @@
 //! service time. The paper presents it as a per-time-unit array update; this
 //! implementation uses an equivalent `O(n log n)` sweep line (exact for the
 //! piecewise-constant envelope), with the literal array version retained as
-//! [`cdi_naive`] for the ablation benchmark and cross-checking.
+//! [`cdi_naive`] for the ablation benchmark and cross-checking. The
+//! integral is carried as an integer ([`damage`], µ-weight·ms) and divided
+//! once, by `num::damage_ratio`.
 //!
 //! Formula 4 aggregates VM-level CDIs into fleet-level values weighted by
 //! service time; [`aggregate`] implements it, and the BI layer in
@@ -17,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{CdiError, Result};
 use crate::event::{Category, EventSpan};
-use crate::num::{index_of, ms_f64};
+use crate::num::{damage_ratio, index_of, ms_f64, quantize_weight};
 use crate::time::{TimeRange, Timestamp};
 
 /// A validated service period `[start, end)` with positive duration.
@@ -53,32 +55,42 @@ impl ServicePeriod {
 /// `∫ max-weight dt / (T_e − T_s)` and lies in `[0, 1]` for weights in
 /// `[0, 1]`.
 pub fn cdi(spans: &[EventSpan], period: ServicePeriod) -> Result<f64> {
-    Ok(envelope_integral(spans, period)? / ms_f64(period.service_time()))
+    Ok(damage_ratio(damage(spans, period)?, period.service_time()))
 }
 
-/// The weighted-damage integral `∫ max-weight dt` in weight·ms — the
-/// numerator of Algorithm 1. Exposed separately because Formula-4
-/// aggregation and the BI drill-down recombine integrals before dividing.
-pub fn envelope_integral(spans: &[EventSpan], period: ServicePeriod) -> Result<f64> {
-    validate_weights(spans)?;
+/// A span clipped to `range` with its weight in µ-weights; `None` when it
+/// contributes nothing (outside the range, empty, or weight below half a
+/// quantum). An invalid weight is an error even then.
+fn clipped(s: &EventSpan, range: &TimeRange) -> Result<Option<(TimeRange, u64)>> {
+    let micro = quantize_weight(s.weight)?;
+    let span = TimeRange::new(s.start, s.end.max(s.start));
+    Ok(range.intersect(&span).filter(|_| micro > 0).map(|r| (r, micro)))
+}
+
+/// `acc + micro · ms`, or the typed overflow error.
+fn add_damage(acc: u64, micro: u64, ms: i64) -> Result<u64> {
+    u64::try_from(ms)
+        .ok()
+        .and_then(|ms| micro.checked_mul(ms))
+        .and_then(|d| acc.checked_add(d))
+        .ok_or_else(|| CdiError::Overflow(format!("{acc} + {micro} µ-weight × {ms} ms")))
+}
+
+/// The damage integral `∫ max-weight dt` in µ-weight·ms — the numerator of
+/// Algorithm 1, as an integer (DESIGN.md §5, decision 7). Window sums of
+/// it are exact and order-independent, which is what lets the streaming
+/// and sharded paths equal the batch path bit for bit.
+pub fn damage(spans: &[EventSpan], period: ServicePeriod) -> Result<u64> {
     let range = period.range();
 
     // Boundary events of the sweep: +weight at clipped start, −weight at
-    // clipped end. Weights are non-negative f64, so their IEEE-754 bit
-    // patterns order identically to their values — the active multiset is a
-    // BTreeMap keyed by bits.
+    // clipped end; the active multiset is a BTreeMap keyed by µ-weight.
     let mut boundaries: Vec<(Timestamp, bool, u64)> = Vec::with_capacity(spans.len() * 2);
     for s in spans {
-        let clipped = match range.intersect(&TimeRange::new(s.start, s.end.max(s.start))) {
-            Some(r) => r,
-            None => continue,
-        };
-        if s.weight == 0.0 {
-            continue;
+        if let Some((r, micro)) = clipped(s, &range)? {
+            boundaries.push((r.start, true, micro));
+            boundaries.push((r.end, false, micro));
         }
-        let bits = s.weight.to_bits();
-        boundaries.push((clipped.start, true, bits));
-        boundaries.push((clipped.end, false, bits));
     }
     // Process removals before additions at equal timestamps so touching
     // spans don't create zero-length artifacts (either order yields the same
@@ -86,26 +98,25 @@ pub fn envelope_integral(spans: &[EventSpan], period: ServicePeriod) -> Result<f
     boundaries.sort_by_key(|&(t, is_add, _)| (t, is_add));
 
     let mut active: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut integral = 0.0f64;
+    let mut integral = 0u64;
     let mut prev_t = range.start;
-    for (t, is_add, bits) in boundaries {
+    for (t, is_add, micro) in boundaries {
         if t > prev_t {
-            if let Some((&max_bits, _)) = active.last_key_value() {
-                integral += f64::from_bits(max_bits) * ms_f64(t - prev_t);
+            if let Some((&max, _)) = active.last_key_value() {
+                integral = add_damage(integral, max, t - prev_t)?;
             }
             prev_t = t;
         }
         if is_add {
-            *active.entry(bits).or_insert(0) += 1;
+            *active.entry(micro).or_insert(0) += 1;
         } else {
-            match active.get_mut(&bits) {
+            match active.get_mut(&micro) {
                 Some(c) if *c > 1 => *c -= 1,
                 Some(_) => {
-                    active.remove(&bits);
+                    active.remove(&micro);
                 }
                 // Every removal boundary was emitted alongside an addition
-                // above, so this branch is unreachable by construction;
-                // ignoring a phantom removal keeps the integral finite.
+                // above, so this branch is unreachable by construction.
                 None => debug_assert!(false, "removal without a prior addition"),
             }
         }
@@ -119,30 +130,25 @@ pub fn envelope_integral(spans: &[EventSpan], period: ServicePeriod) -> Result<f
 /// span and period boundaries are multiples of `step_ms` and otherwise a
 /// discretization of the integral. Retained as the ablation baseline for
 /// the sweep-line implementation — it is `O(T/Δt + n·d/Δt)` in time and
-/// `O(T/Δt)` in memory.
+/// `O(T/Δt)` in memory — and sums the same µ-weights, so on aligned data
+/// it equals [`cdi`] exactly.
 pub fn cdi_naive(spans: &[EventSpan], period: ServicePeriod, step_ms: i64) -> Result<f64> {
     if step_ms <= 0 {
         return Err(CdiError::invalid("step_ms must be positive"));
     }
-    validate_weights(spans)?;
     let range = period.range();
     let steps = index_of((range.duration() + step_ms - 1) / step_ms);
-    let mut w = vec![0.0f64; steps];
+    let mut w = vec![0u64; steps];
     for s in spans {
-        let clipped = match range.intersect(&TimeRange::new(s.start, s.end.max(s.start))) {
-            Some(r) => r,
-            None => continue,
-        };
-        let first = index_of((clipped.start - range.start) / step_ms);
-        let last = index_of((clipped.end - range.start + step_ms - 1) / step_ms);
+        let Some((r, micro)) = clipped(s, &range)? else { continue };
+        let first = index_of((r.start - range.start) / step_ms);
+        let last = index_of((r.end - range.start + step_ms - 1) / step_ms);
         for slot in &mut w[first..last.min(steps)] {
-            if s.weight > *slot {
-                *slot = s.weight;
-            }
+            *slot = (*slot).max(micro);
         }
     }
-    let sum: f64 = w.iter().sum();
-    Ok(sum * ms_f64(step_ms) / ms_f64(range.duration()))
+    let total = w.iter().try_fold(0u64, |acc, &micro| add_damage(acc, micro, step_ms))?;
+    Ok(damage_ratio(total, range.duration()))
 }
 
 /// The three sub-metrics plus service time for one VM — one row of the
@@ -244,27 +250,10 @@ pub fn aggregate(vms: &[VmCdi]) -> Result<CdiBreakdown> {
     })
 }
 
-/// Reject spans with weights outside `[0, 1]` or non-finite.
-fn validate_weights(spans: &[EventSpan]) -> Result<()> {
-    for s in spans {
-        if !s.weight.is_finite() || !(0.0..=1.0).contains(&s.weight) {
-            return Err(CdiError::invalid(format!(
-                "span weight must be in [0,1], got {} for '{}'",
-                s.weight, s.name
-            )));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::minutes;
-
-    fn close(a: f64, b: f64, tol: f64) {
-        assert!((a - b).abs() < tol, "expected {b}, got {a}");
-    }
 
     fn perf(name: &str, s: i64, e: i64, w: f64) -> EventSpan {
         EventSpan::new(name, Category::Performance, minutes(s), minutes(e), w)
@@ -278,7 +267,7 @@ mod tests {
             perf("packet_loss", 10, 12, 0.3),
         ];
         let period = ServicePeriod::new(0, minutes(60)).unwrap();
-        close(cdi(&spans, period).unwrap(), 0.020, 1e-12);
+        assert_eq!(cdi(&spans, period).unwrap(), 0.020);
     }
 
     #[test]
@@ -286,7 +275,7 @@ mod tests {
         let spans = vec![perf("vcpu_high", 805, 810, 0.6)];
         let period = ServicePeriod::new(0, minutes(1440)).unwrap();
         // 5·0.6/1440 = 0.002083…, which the paper reports rounded as 0.002.
-        close(cdi(&spans, period).unwrap(), 5.0 * 0.6 / 1440.0, 1e-12);
+        assert_eq!(cdi(&spans, period).unwrap(), 3.0 / 1440.0);
     }
 
     #[test]
@@ -298,7 +287,7 @@ mod tests {
         ];
         let period = ServicePeriod::new(0, minutes(1000)).unwrap();
         // 2·0.5 + 2·max(0.5,0.6) + 3·0.6 = 4.0 weight-minutes over 1000.
-        close(cdi(&spans, period).unwrap(), 0.004, 1e-12);
+        assert_eq!(cdi(&spans, period).unwrap(), 0.004);
     }
 
     #[test]
@@ -328,15 +317,15 @@ mod tests {
         ];
         let agg = aggregate(&vms).unwrap();
         // Exact: (1.2 + 3.0 + 4.0) weight-minutes over 2500 minutes.
-        close(agg.performance, 8.2 / 2500.0, 1e-12);
+        assert_eq!(agg.performance, 0.00328);
         assert_eq!(agg.total_service_time, minutes(2500));
-        close(agg.unavailability, 0.0, 1e-12);
+        assert_eq!(agg.unavailability, 0.0);
     }
 
     #[test]
     fn empty_spans_give_zero() {
         let period = ServicePeriod::new(0, minutes(100)).unwrap();
-        close(cdi(&[], period).unwrap(), 0.0, 1e-15);
+        assert_eq!(cdi(&[], period).unwrap(), 0.0);
     }
 
     #[test]
@@ -349,7 +338,7 @@ mod tests {
             1.0,
         )];
         let period = ServicePeriod::new(0, minutes(100)).unwrap();
-        close(cdi(&spans, period).unwrap(), 1.0, 1e-12);
+        assert_eq!(cdi(&spans, period).unwrap(), 1.0);
     }
 
     #[test]
@@ -357,10 +346,10 @@ mod tests {
         // Span half outside the period counts only the inside half.
         let spans = vec![perf("slow_io", -10, 10, 0.5)];
         let period = ServicePeriod::new(0, minutes(100)).unwrap();
-        close(cdi(&spans, period).unwrap(), 10.0 * 0.5 / 100.0, 1e-12);
+        assert_eq!(cdi(&spans, period).unwrap(), 0.05);
         // Fully outside: zero.
         let outside = vec![perf("slow_io", 200, 210, 0.5)];
-        close(cdi(&outside, period).unwrap(), 0.0, 1e-15);
+        assert_eq!(cdi(&outside, period).unwrap(), 0.0);
     }
 
     #[test]
@@ -372,24 +361,24 @@ mod tests {
         ];
         let period = ServicePeriod::new(0, minutes(10)).unwrap();
         // 8 min at 0.3 + 2 min at 0.9.
-        close(cdi(&spans, period).unwrap(), (8.0 * 0.3 + 2.0 * 0.9) / 10.0, 1e-12);
+        assert_eq!(cdi(&spans, period).unwrap(), 0.42);
         // Two identical spans must not double-count.
         let dup = vec![perf("slow_io", 0, 5, 0.5), perf("slow_io", 0, 5, 0.5)];
-        close(cdi(&dup, period).unwrap(), 5.0 * 0.5 / 10.0, 1e-12);
+        assert_eq!(cdi(&dup, period).unwrap(), 0.25);
     }
 
     #[test]
     fn touching_spans_do_not_interact() {
         let spans = vec![perf("a", 0, 5, 0.5), perf("b", 5, 10, 0.9)];
         let period = ServicePeriod::new(0, minutes(10)).unwrap();
-        close(cdi(&spans, period).unwrap(), (5.0 * 0.5 + 5.0 * 0.9) / 10.0, 1e-12);
+        assert_eq!(cdi(&spans, period).unwrap(), 0.7);
     }
 
     #[test]
     fn zero_weight_and_zero_length_spans_ignored() {
         let spans = vec![perf("a", 0, 5, 0.0), perf("b", 3, 3, 0.9)];
         let period = ServicePeriod::new(0, minutes(10)).unwrap();
-        close(cdi(&spans, period).unwrap(), 0.0, 1e-15);
+        assert_eq!(cdi(&spans, period).unwrap(), 0.0);
     }
 
     #[test]
@@ -404,7 +393,7 @@ mod tests {
         let period = ServicePeriod::new(0, minutes(1000)).unwrap();
         let fast = cdi(&spans, period).unwrap();
         let slow = cdi_naive(&spans, period, minutes(1)).unwrap();
-        close(fast, slow, 1e-12);
+        assert_eq!(fast, slow);
     }
 
     #[test]
@@ -422,9 +411,9 @@ mod tests {
         ];
         let period = ServicePeriod::new(0, minutes(100)).unwrap();
         let v = compute_vm_cdi(7, &spans, period).unwrap();
-        close(v.unavailability, 0.1, 1e-12);
-        close(v.performance, 0.05, 1e-12);
-        close(v.control_plane, 0.0, 1e-15);
+        assert_eq!(v.unavailability, 0.1);
+        assert_eq!(v.performance, 0.05);
+        assert_eq!(v.control_plane, 0.0);
         assert_eq!(v.vm, 7);
         assert_eq!(v.get(Category::Performance), v.performance);
     }
@@ -436,9 +425,9 @@ mod tests {
             perf("packet_loss", 0, 20, 0.3),
         ];
         let period = ServicePeriod::new(0, minutes(100)).unwrap();
-        close(event_level_cdi(&spans, period, "slow_io").unwrap(), 0.05, 1e-12);
-        close(event_level_cdi(&spans, period, "packet_loss").unwrap(), 0.06, 1e-12);
-        close(event_level_cdi(&spans, period, "absent").unwrap(), 0.0, 1e-15);
+        assert_eq!(event_level_cdi(&spans, period, "slow_io").unwrap(), 0.05);
+        assert_eq!(event_level_cdi(&spans, period, "packet_loss").unwrap(), 0.06);
+        assert_eq!(event_level_cdi(&spans, period, "absent").unwrap(), 0.0);
     }
 
     #[test]
@@ -462,6 +451,21 @@ mod tests {
             weight: f64::NAN,
         }];
         assert!(cdi(&nan, period).is_err());
+    }
+
+    #[test]
+    fn damage_is_integer_and_overflow_is_an_error() {
+        let period = ServicePeriod::new(0, minutes(10)).unwrap();
+        // 5 min at 0.3 then 5 min at 0.9, in µ-weight·ms.
+        let spans = vec![perf("a", 0, 10, 0.3), perf("b", 5, 10, 0.9)];
+        assert_eq!(damage(&spans, period).unwrap(), (300_000 + 900_000) * 300_000);
+        // Below half a quantum integrates as nothing.
+        assert_eq!(damage(&[perf("tiny", 0, 10, 0.000_000_4)], period).unwrap(), 0);
+        // 10⁶ µ-weight × 2⁶³ ms does not fit: typed error, no wrap.
+        let forever = ServicePeriod::new(0, i64::MAX).unwrap();
+        let outage = EventSpan::new("x", Category::Unavailability, 0, i64::MAX, 1.0);
+        let err = damage(&[outage], forever).unwrap_err();
+        assert!(matches!(err, CdiError::Overflow(_)), "{err}");
     }
 
     #[test]
@@ -494,7 +498,7 @@ mod tests {
             control_plane: 0.0,
         };
         let agg = aggregate(&[a, b]).unwrap();
-        close(agg.unavailability, 0.25, 1e-12);
+        assert_eq!(agg.unavailability, 0.25);
         assert_eq!(agg.get(Category::Unavailability), agg.unavailability);
     }
 }

@@ -57,7 +57,7 @@
 //! ];
 //! let period = ServicePeriod::new(0, minutes(1000)).unwrap();
 //! let q = cdi(&spans, period).unwrap();
-//! assert!((q - 0.004).abs() < 1e-12);
+//! assert_eq!(q, 0.004);
 //! ```
 
 #![forbid(unsafe_code)]

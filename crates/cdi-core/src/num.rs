@@ -10,6 +10,13 @@
 //! even a century of fleet-aggregated service time (~3e12 ms) is far below
 //! `f64`'s exact-integer limit of 2^53 ≈ 9e15, so the timestamp→float
 //! conversions here are exact across the entire operating envelope.
+//!
+//! The damage integral itself is an integer (DESIGN.md §5, decision 7):
+//! weights are quantized once by [`quantize_weight`], integrated against
+//! integer milliseconds, and divided back to a ratio exactly once, in
+//! [`damage_ratio`].
+
+use crate::error::{CdiError, Result};
 
 /// Largest integer magnitude `f64` represents exactly.
 const F64_EXACT: i64 = 1 << 53;
@@ -25,6 +32,52 @@ pub fn ms_f64(ms: i64) -> f64 {
     #[allow(clippy::cast_precision_loss)]
     {
         ms as f64
+    }
+}
+
+/// µ-weights per unit weight: the quantum weights are integrated at is
+/// 10⁻⁶. Decimal, so every weight the paper prints (0.25, 0.3, 0.5, 0.6,
+/// 0.625, 0.75) is a whole number of quanta.
+pub const WEIGHT_SCALE: u64 = 1_000_000;
+
+/// [`WEIGHT_SCALE`] as the float the conversions multiply by (exact).
+#[allow(clippy::cast_precision_loss)]
+const SCALE: f64 = WEIGHT_SCALE as f64;
+
+/// A weight in `[0, 1]` as a whole number of µ-weights, rounding half up.
+/// NaN, ±∞ and anything outside `[0, 1]` are rejected, never clamped.
+pub fn quantize_weight(w: f64) -> Result<u64> {
+    if !(0.0..=1.0).contains(&w) {
+        return Err(CdiError::invalid(format!("span weight must be in [0,1], got {w}")));
+    }
+    // `w · 10⁶ + 0.5` lies in [0.5, 1_000_000.5]: truncation is floor.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    {
+        Ok((w * SCALE + 0.5) as u64)
+    }
+}
+
+/// The weight [`quantize_weight`] actually integrates, as an `f64` (the
+/// nearest to `k · 10⁻⁶`). Unquantizable weights pass through unchanged so
+/// validation downstream still sees them.
+pub fn snap_weight(w: f64) -> f64 {
+    match quantize_weight(w) {
+        // At most 10⁶: exact in f64.
+        #[allow(clippy::cast_precision_loss)]
+        Ok(micro) => micro as f64 / SCALE,
+        Err(_) => w,
+    }
+}
+
+/// The one division of the metric path: damage (µ-weight·ms) over service
+/// time (ms) as a ratio in `[0, 1]`. Both conversions round to nearest, so
+/// whenever `damage` and `service_ms · 10⁶` are below 2^53 (any single
+/// target over any period up to 104 days) the result is the correctly
+/// rounded quotient of the two integers.
+pub fn damage_ratio(damage: u64, service_ms: i64) -> f64 {
+    #[allow(clippy::cast_precision_loss)]
+    {
+        damage as f64 / (ms_f64(service_ms) * SCALE)
     }
 }
 
@@ -76,6 +129,33 @@ mod tests {
         assert_eq!(ms_f64(86_400_000), 86_400_000.0);
         assert_eq!(ms_f64(-5), -5.0);
         assert_eq!(ms_f64(F64_EXACT), 9_007_199_254_740_992.0);
+    }
+
+    #[test]
+    fn weights_quantize_to_micro_units_or_are_rejected() {
+        assert_eq!(quantize_weight(0.0).unwrap(), 0);
+        assert_eq!(quantize_weight(0.000_000_4).unwrap(), 0);
+        assert_eq!(quantize_weight(0.000_000_5).unwrap(), 1);
+        assert_eq!(quantize_weight(1.0).unwrap(), WEIGHT_SCALE);
+        for (w, micro) in
+            [(0.25, 250_000), (0.3, 300_000), (0.5, 500_000), (0.6, 600_000), (0.625, 625_000)]
+        {
+            assert_eq!(quantize_weight(w).unwrap(), micro);
+            assert_eq!(snap_weight(w), w, "paper weights are already on the grid");
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-9, 1.000_000_1] {
+            assert!(quantize_weight(bad).is_err(), "{bad} must be rejected");
+        }
+        assert!(snap_weight(f64::NAN).is_nan());
+        assert_eq!(snap_weight(1.0 / 3.0), 0.333_333);
+    }
+
+    #[test]
+    fn damage_ratio_is_the_correctly_rounded_quotient() {
+        // Table IV, VM 1: 4 minutes at 0.3 over one hour.
+        assert_eq!(damage_ratio(300_000 * 240_000, 3_600_000), 0.020);
+        assert_eq!(damage_ratio(0, 1), 0.0);
+        assert_eq!(damage_ratio(WEIGHT_SCALE * 86_400_000, 86_400_000), 1.0);
     }
 
     #[test]

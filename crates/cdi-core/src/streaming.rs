@@ -6,7 +6,10 @@
 //! ingests weighted spans approximately in time order and maintains the
 //! damage integral behind a **watermark**: everything before the watermark
 //! is frozen into a running sum and its spans are dropped, so memory stays
-//! bounded by the number of spans still open — not by history length.
+//! bounded by the number of spans still open — not by history length. The
+//! sum is the integer damage of [`crate::indicator::damage`], so it does
+//! not depend on where the watermark stopped along the way: streamed,
+//! restored and merged accumulators equal the one-shot batch value exactly.
 //!
 //! Late data policy (explicit, like the rest of DESIGN.md §5): a span
 //! arriving with `start` before the current watermark is clipped to the
@@ -23,8 +26,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{CdiError, Result};
 use crate::event::EventSpan;
-use crate::indicator::{envelope_integral, ServicePeriod};
-use crate::num::ms_f64;
+use crate::indicator::{damage, ServicePeriod};
+use crate::num::{damage_ratio, quantize_weight};
 use crate::time::Timestamp;
 
 /// Watermark-based streaming accumulator for one target and one sub-metric
@@ -33,8 +36,8 @@ use crate::time::Timestamp;
 pub struct CdiAccumulator {
     period_start: Timestamp,
     watermark: Timestamp,
-    /// Damage integral (weight·ms) frozen up to the watermark.
-    frozen: f64,
+    /// Damage integral (µ-weight·ms) frozen up to the watermark.
+    frozen: u64,
     /// Spans still (partly) ahead of the watermark.
     open: Vec<EventSpan>,
     /// Spans dropped for arriving entirely behind the watermark.
@@ -56,8 +59,8 @@ pub struct AccumulatorSnapshot {
     pub period_start: Timestamp,
     /// Watermark at snapshot time.
     pub watermark: Timestamp,
-    /// Damage integral (weight·ms) frozen up to the watermark.
-    pub frozen: f64,
+    /// Damage integral (µ-weight·ms) frozen up to the watermark.
+    pub frozen: u64,
     /// Spans still (partly) ahead of the watermark.
     pub open: Vec<EventSpan>,
     /// Spans dropped for arriving entirely behind the watermark.
@@ -72,7 +75,7 @@ impl CdiAccumulator {
         CdiAccumulator {
             period_start,
             watermark: period_start,
-            frozen: 0.0,
+            frozen: 0,
             open: Vec::new(),
             late_dropped: 0,
             late_clipped: 0,
@@ -106,14 +109,12 @@ impl CdiAccumulator {
     }
 
     /// Ingest a span. Spans beginning before the watermark are clipped to
-    /// it; spans ending at or before it are dropped as late.
+    /// it; spans ending at or before it are dropped as late. A span with an
+    /// invalid weight or an inverted range is rejected — the same rules
+    /// [`CdiAccumulator::restore`] applies, so whatever `ingest` accepts
+    /// survives a snapshot round trip.
     pub fn ingest(&mut self, mut span: EventSpan) -> Result<()> {
-        if !span.weight.is_finite() || !(0.0..=1.0).contains(&span.weight) {
-            return Err(CdiError::invalid(format!(
-                "span weight must be in [0,1], got {}",
-                span.weight
-            )));
-        }
+        check_span(&span)?;
         if span.end <= self.watermark {
             self.late_dropped += 1;
             return Ok(());
@@ -139,7 +140,7 @@ impl CdiAccumulator {
             return Ok(());
         }
         let window = ServicePeriod::new(self.watermark, to)?;
-        self.frozen += envelope_integral(&self.open, window)?;
+        self.frozen = checked_sum(self.frozen, damage(&self.open, window)?)?;
         self.watermark = to;
         self.open.retain(|s| s.end > to);
         Ok(())
@@ -152,23 +153,23 @@ impl CdiAccumulator {
         if elapsed <= 0 {
             return Err(CdiError::degenerate("no elapsed service time yet"));
         }
-        Ok(self.frozen / ms_f64(elapsed))
+        Ok(damage_ratio(self.frozen, elapsed))
     }
 
-    /// The damage integral (weight·ms) frozen so far.
-    pub fn damage_integral(&self) -> f64 {
+    /// The damage integral (µ-weight·ms) frozen so far.
+    pub fn damage_integral(&self) -> u64 {
         self.frozen
     }
 
     /// The §VIII-C damage pressure: the remaining integral of the open
     /// spans from the watermark to their last end — what acting on this
     /// target now would save.
-    pub fn pending_pressure(&self) -> Result<f64> {
+    pub fn pending_pressure(&self) -> Result<u64> {
         let horizon = self.open.iter().map(|s| s.end).max().unwrap_or(self.watermark);
         if horizon <= self.watermark {
-            return Ok(0.0);
+            return Ok(0);
         }
-        envelope_integral(&self.open, ServicePeriod::new(self.watermark, horizon)?)
+        damage(&self.open, ServicePeriod::new(self.watermark, horizon)?)
     }
 
     /// Freeze the accumulator into a serializable [`AccumulatorSnapshot`].
@@ -189,9 +190,8 @@ impl CdiAccumulator {
 
     /// Revive an accumulator from a snapshot, re-validating every invariant
     /// the type normally maintains: the watermark cannot precede the period
-    /// start, the frozen integral must be a finite non-negative number, and
-    /// every open span must carry a valid weight, a non-inverted range, and
-    /// an end strictly ahead of the watermark.
+    /// start, and every open span must carry a valid weight, a non-inverted
+    /// range, and an end strictly ahead of the watermark.
     pub fn restore(snap: AccumulatorSnapshot) -> Result<CdiAccumulator> {
         if snap.watermark < snap.period_start {
             return Err(CdiError::invalid(format!(
@@ -199,25 +199,8 @@ impl CdiAccumulator {
                 snap.watermark, snap.period_start
             )));
         }
-        if !snap.frozen.is_finite() || snap.frozen < 0.0 {
-            return Err(CdiError::invalid(format!(
-                "snapshot frozen integral must be finite and non-negative, got {}",
-                snap.frozen
-            )));
-        }
         for s in &snap.open {
-            if !s.weight.is_finite() || !(0.0..=1.0).contains(&s.weight) {
-                return Err(CdiError::invalid(format!(
-                    "snapshot span '{}' weight must be in [0,1], got {}",
-                    s.name, s.weight
-                )));
-            }
-            if s.start > s.end {
-                return Err(CdiError::invalid(format!(
-                    "snapshot span '{}' has start {} after end {}",
-                    s.name, s.start, s.end
-                )));
-            }
+            check_span(s)?;
             if s.end <= snap.watermark {
                 return Err(CdiError::invalid(format!(
                     "snapshot span '{}' ends at {} behind the watermark {}",
@@ -259,12 +242,29 @@ impl CdiAccumulator {
                 self.watermark, other.watermark
             )));
         }
-        self.frozen += other.frozen;
+        self.frozen = checked_sum(self.frozen, other.frozen)?;
         self.open.extend(other.open.iter().cloned());
         self.late_dropped += other.late_dropped;
         self.late_clipped += other.late_clipped;
         Ok(())
     }
+}
+
+/// The span rules `ingest` and `restore` share: a weight Algorithm 1 can
+/// integrate and a range that is not inverted.
+fn check_span(s: &EventSpan) -> Result<()> {
+    quantize_weight(s.weight)?;
+    if s.start > s.end {
+        return Err(CdiError::invalid(format!(
+            "span '{}' has start {} after end {}",
+            s.name, s.start, s.end
+        )));
+    }
+    Ok(())
+}
+
+fn checked_sum(a: u64, b: u64) -> Result<u64> {
+    a.checked_add(b).ok_or_else(|| CdiError::Overflow(format!("{a} + {b} µ-weight·ms")))
 }
 
 #[cfg(test)]
@@ -273,10 +273,6 @@ mod tests {
     use crate::event::Category;
     use crate::indicator::cdi;
     use crate::time::minutes;
-
-    fn close(a: f64, b: f64, tol: f64) {
-        assert!((a - b).abs() < tol, "expected {b}, got {a}");
-    }
 
     fn span(s: i64, e: i64, w: f64) -> EventSpan {
         EventSpan::new("x", Category::Performance, minutes(s), minutes(e), w)
@@ -297,7 +293,7 @@ mod tests {
             acc.advance_watermark(safe).unwrap();
         }
         acc.advance_watermark(minutes(60)).unwrap();
-        close(acc.cdi().unwrap(), batch, 1e-12);
+        assert_eq!(acc.cdi().unwrap(), batch);
         assert_eq!(acc.late_dropped(), 0);
         assert_eq!(acc.open_spans(), 0, "memory drained once spans close");
     }
@@ -312,7 +308,7 @@ mod tests {
         acc.advance_watermark(minutes(7)).unwrap();
         acc.advance_watermark(minutes(20)).unwrap();
         // 5 min at 0.5 + 10 min at 0.9.
-        close(acc.damage_integral(), (5.0 * 0.5 + 10.0 * 0.9) * 60_000.0, 1e-9);
+        assert_eq!(acc.damage_integral(), (5 * 500_000 + 10 * 900_000) * 60_000);
     }
 
     #[test]
@@ -325,7 +321,7 @@ mod tests {
         // Straddling: clipped to the watermark.
         acc.ingest(span(5, 20, 1.0)).unwrap();
         acc.advance_watermark(minutes(20)).unwrap();
-        close(acc.damage_integral(), 10.0 * 60_000.0, 1e-9);
+        assert_eq!(acc.damage_integral(), 10 * 1_000_000 * 60_000);
     }
 
     #[test]
@@ -336,7 +332,7 @@ mod tests {
         assert!(acc.advance_watermark(minutes(9)).is_err());
         // Idempotent same-point advance.
         acc.advance_watermark(minutes(10)).unwrap();
-        close(acc.cdi().unwrap(), 0.0, 1e-15);
+        assert_eq!(acc.cdi().unwrap(), 0.0);
     }
 
     #[test]
@@ -345,22 +341,30 @@ mod tests {
         acc.ingest(span(0, 30, 0.5)).unwrap();
         acc.advance_watermark(minutes(10)).unwrap();
         // 20 minutes of weight-0.5 damage still ahead.
-        close(acc.pending_pressure().unwrap(), 20.0 * 0.5 * 60_000.0, 1e-9);
+        assert_eq!(acc.pending_pressure().unwrap(), 20 * 500_000 * 60_000);
         acc.advance_watermark(minutes(30)).unwrap();
-        close(acc.pending_pressure().unwrap(), 0.0, 1e-15);
+        assert_eq!(acc.pending_pressure().unwrap(), 0);
+    }
+
+    fn raw(start: i64, end: i64, weight: f64) -> EventSpan {
+        EventSpan { name: "x".into(), category: Category::Performance, start, end, weight }
     }
 
     #[test]
     fn rejects_bad_weights() {
         let mut acc = CdiAccumulator::new(0);
-        let bad = EventSpan {
-            name: "x".into(),
-            category: Category::Performance,
-            start: 0,
-            end: minutes(1),
-            weight: 2.0,
-        };
-        assert!(acc.ingest(bad).is_err());
+        assert!(acc.ingest(raw(0, minutes(1), 2.0)).is_err());
+        assert!(acc.ingest(raw(0, minutes(1), f64::NAN)).is_err());
+    }
+
+    /// Whatever ingest accepts, restore accepts: an inverted span ahead of
+    /// the watermark is turned away at the door, not at recovery.
+    #[test]
+    fn rejects_inverted_ranges_like_restore_does() {
+        let mut acc = CdiAccumulator::new(0);
+        assert!(acc.ingest(raw(minutes(9), minutes(5), 0.5)).is_err());
+        assert_eq!(acc.open_spans(), 0);
+        assert!(CdiAccumulator::restore(acc.snapshot()).is_ok());
     }
 
     #[test]
@@ -383,8 +387,7 @@ mod tests {
         // Continue both sides identically: observations stay equal.
         acc.advance_watermark(minutes(50)).unwrap();
         restored.advance_watermark(minutes(50)).unwrap();
-        close(restored.cdi().unwrap(), acc.cdi().unwrap(), 1e-15);
-        close(restored.damage_integral(), acc.damage_integral(), 1e-15);
+        assert_eq!(restored.snapshot(), acc.snapshot());
 
         // And the snapshot itself survives a JSON round trip.
         let json = serde_json::to_string(&snap).unwrap();
@@ -405,10 +408,6 @@ mod tests {
 
         let mut bad = good.clone();
         bad.watermark = minutes(4); // behind period_start
-        assert!(CdiAccumulator::restore(bad).is_err());
-
-        let mut bad = good.clone();
-        bad.frozen = f64::NAN;
         assert!(CdiAccumulator::restore(bad).is_err());
 
         let mut bad = good.clone();
@@ -444,12 +443,11 @@ mod tests {
             acc.advance_watermark(minutes(35)).unwrap();
         }
         left.merge(&right).unwrap();
-        close(left.damage_integral(), whole.damage_integral(), 1e-9);
-        close(left.cdi().unwrap(), whole.cdi().unwrap(), 1e-15);
+        assert_eq!(left.damage_integral(), whole.damage_integral());
         // Open spans travel too.
         left.advance_watermark(minutes(60)).unwrap();
         whole.advance_watermark(minutes(60)).unwrap();
-        close(left.damage_integral(), whole.damage_integral(), 1e-9);
+        assert_eq!(left.damage_integral(), whole.damage_integral());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{CdiError, Result};
 use crate::event::{EventSpan, Severity};
-use crate::num::{count_f64, level_of};
+use crate::num::{count_f64, level_of, snap_weight};
 use crate::period::PeriodedEvent;
 use statskit::ahp::JudgmentMatrix;
 
@@ -141,7 +141,9 @@ impl WeightTable {
         }
     }
 
-    /// Convert perioded events into weighted spans for Algorithm 1.
+    /// Convert perioded events into weighted spans for Algorithm 1. The
+    /// weight is snapped to the integration quantum (DESIGN.md §5, decision
+    /// 7), so a drill-down shows the weight that was integrated.
     pub fn assign(&self, events: &[PeriodedEvent]) -> Vec<EventSpan> {
         events
             .iter()
@@ -150,7 +152,7 @@ impl WeightTable {
                 category: pe.category,
                 start: pe.range.start,
                 end: pe.range.end,
-                weight: self.weight(&pe.name, pe.severity),
+                weight: snap_weight(self.weight(&pe.name, pe.severity)),
             })
             .collect()
     }

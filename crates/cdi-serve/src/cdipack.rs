@@ -58,12 +58,14 @@ use crate::snapshot::ServiceSnapshot;
 /// one-byte peek. The last byte is the dialect version.
 pub const WIRE_MAGIC: [u8; 4] = [0xCD, b'P', b'K', 0x01];
 
-/// Magic prefix of an encoded [`ServiceSnapshot`].
-pub const SNAPSHOT_MAGIC: &[u8] = b"CDSS\x01";
+/// Magic prefix of an encoded [`ServiceSnapshot`]. Version 2: the frozen
+/// damage column is an integer varint (version 1 held `f64` bits).
+pub const SNAPSHOT_MAGIC: &[u8] = b"CDSS\x02";
 
 /// Magic prefix of an encoded [`ShardDelta`] (one durability epoch, or a
-/// shard's full base image).
-pub const DELTA_MAGIC: &[u8] = b"CDSD\x01";
+/// shard's full base image). Version 2: integer damage column, and no
+/// watermark-advance chain.
+pub const DELTA_MAGIC: &[u8] = b"CDSD\x02";
 
 /// Hard cap on one frame's payload (64 MiB): a corrupt or hostile length
 /// prefix is rejected before any allocation.
@@ -601,7 +603,7 @@ fn id_apply(prev: u64, delta: i64) -> u64 {
 /// per category (unavailability, performance, control-plane):
 ///   period_start  n × zigzag delta vs base_ps
 ///   watermark     n × zigzag delta vs base_wm
-///   frozen        n × f64 bits           (bit-exact damage integrals)
+///   frozen        n × varint             (damage, µ-weight·ms)
 ///   late_dropped  n × varint
 ///   late_clipped  n × varint
 ///   open count    n × varint
@@ -660,7 +662,7 @@ fn take_target_snapshots(
     let blank = AccumulatorSnapshot {
         period_start: base_ps,
         watermark: base_wm,
-        frozen: 0.0,
+        frozen: 0,
         open: Vec::new(),
         late_dropped: 0,
         late_clipped: 0,
@@ -686,7 +688,7 @@ fn take_target_snapshots(
             acc_mut(t, cat).watermark = base_wm.wrapping_add(i64::take(r)?);
         }
         for t in &mut targets {
-            acc_mut(t, cat).frozen = f64::take(r)?;
+            acc_mut(t, cat).frozen = u64::take(r)?;
         }
         for t in &mut targets {
             acc_mut(t, cat).late_dropped = usize::take(r)?;
@@ -736,18 +738,16 @@ impl Pack for ServiceSnapshot {
 // ShardDelta (the shard's durable image)
 // ---------------------------------------------------------------------
 
-/// One durability epoch of a shard: the watermark interval it covers,
-/// the exact sequence of accepted watermark advances inside it, and the
-/// full snapshots of only the targets dirtied inside it. Applying a chain
-/// of deltas to an empty state reproduces the live state *bit-exactly*:
-/// untouched targets replay the identical `advance_watermark` call
-/// sequence (floating-point addition is not associative, so a single
-/// `from → to` jump would not be bit-identical), and touched targets are
-/// replaced outright by their `to_watermark` snapshots.
+/// One durability epoch of a shard: the watermark interval it covers and
+/// the full snapshots of only the targets dirtied inside it. Applying a
+/// chain of deltas to an empty state reproduces the live state exactly:
+/// untouched targets advance once to `to_watermark` (damage is an integer
+/// sum, so one jump freezes what the live shard's many advances did), and
+/// touched targets are replaced outright by their `to_watermark`
+/// snapshots.
 ///
 /// A shard's full base image is the same shape cut from an empty state:
-/// `from_watermark` = the period start, `advances` = the one jump to the
-/// current watermark, `changed` = every target (see
+/// `from_watermark` = the period start, `changed` = every target (see
 /// [`crate::shard::ShardState`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardDelta {
@@ -757,28 +757,18 @@ pub struct ShardDelta {
     pub to_watermark: Timestamp,
     /// Authoritative accumulator-rejection counter at epoch close.
     pub rejected: u64,
-    /// Accepted watermark advances applied during the epoch, in order —
-    /// replayed verbatim so untouched targets stay bit-identical.
-    pub advances: Vec<Timestamp>,
     /// Targets dirtied during the epoch, sorted by target, snapshotted at
     /// `to_watermark`.
     pub changed: Vec<TargetSnapshot>,
 }
 
-/// Header, the advances as a zigzag delta chain from `from_watermark`,
-/// then the columnar targets against the epoch's two watermarks.
+/// Header, then the columnar targets against the epoch's two watermarks.
 impl Pack for ShardDelta {
     fn put(&self, w: &mut PackWriter) {
         w.put_bytes(DELTA_MAGIC);
         self.from_watermark.put(w);
         self.to_watermark.put(w);
         self.rejected.put(w);
-        self.advances.len().put(w);
-        let mut prev = self.from_watermark;
-        for &adv in &self.advances {
-            adv.wrapping_sub(prev).put(w);
-            prev = adv;
-        }
         put_target_snapshots(w, self.from_watermark, self.to_watermark, &self.changed);
     }
     fn take(r: &mut PackReader<'_>) -> PackResult<Self> {
@@ -786,15 +776,8 @@ impl Pack for ShardDelta {
         let from_watermark = i64::take(r)?;
         let to_watermark = i64::take(r)?;
         let rejected = u64::take(r)?;
-        let n_adv = r.take_len()?;
-        let mut advances = Vec::new();
-        let mut prev = from_watermark;
-        for _ in 0..n_adv {
-            prev = prev.wrapping_add(i64::take(r)?);
-            advances.push(prev);
-        }
         let changed = take_target_snapshots(r, from_watermark, to_watermark)?;
-        Ok(ShardDelta { from_watermark, to_watermark, rejected, advances, changed })
+        Ok(ShardDelta { from_watermark, to_watermark, rejected, changed })
     }
 }
 

@@ -24,8 +24,8 @@
 //! - **Durability** ([`snapshot`], [`cdipack`]): snapshots of every
 //!   accumulator as compact columnar `cdipack` bytes — the one persisted
 //!   form — restorable into a *different* shard count (targets re-hash):
-//!   the crash-recovery and re-sharding story, chaos-tested to converge
-//!   within 1e-9 of an uninterrupted run. Shard respawn replays a chain
+//!   the crash-recovery and re-sharding story, chaos-tested to equal an
+//!   uninterrupted run (damage is an integer sum, so `==`). Shard respawn replays a chain
 //!   of `cdipack`-encoded images (a full base, then incremental epoch
 //!   deltas of the same shape) and a byte journal, so recovery cost is
 //!   O(recent change), not O(total state).

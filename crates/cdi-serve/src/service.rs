@@ -40,6 +40,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
+use cdi_core::catalog::HOST_ONLY_EVENTS;
 use cdi_core::error::{CdiError, Result};
 use cdi_core::event::{Category, EventSpan, Target};
 use cdi_core::indicator::VmCdi;
@@ -82,7 +83,7 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             policy: BackpressurePolicy::Block,
             period_start: 0,
-            host_only_events: vec!["inspect_cpu_power_tdp".to_string()],
+            host_only_events: HOST_ONLY_EVENTS.map(String::from).to_vec(),
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
         }
     }
@@ -424,6 +425,13 @@ impl CdiService {
     pub fn vm_row(&self, vm: u64) -> Result<VmCdi> {
         let pool = self.rd();
         pool[shard_index(Target::Vm(vm), pool.len())].with_state(|st| st.vm_row(vm))
+    }
+
+    /// Damage (µ-weight·ms) frozen so far for one target, per category;
+    /// all zero if never seen ([`ShardState::damage`]).
+    pub fn damage(&self, target: Target) -> [u64; 3] {
+        let pool = self.rd();
+        pool[shard_index(target, pool.len())].with_state(|st| st.damage(target))
     }
 
     /// Total distinct targets tracked across all shards.

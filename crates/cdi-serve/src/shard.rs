@@ -18,10 +18,10 @@
 //! ([`crate::cdipack`]), in one shape: a chain of encoded
 //! [`ShardDelta`]s plus a byte journal of the messages applied since the
 //! last one was cut. The first image in the chain is the *base* — a full
-//! delta cut from an empty state (every target, one advance to the
-//! watermark); each later one is an incremental epoch (cut every
-//! `checkpoint_every` applied messages, covering only the targets dirtied
-//! in that epoch plus the watermark advances applied). Once the chain
+//! delta cut from an empty state (every target, at the watermark); each
+//! later one is an incremental epoch (cut every `checkpoint_every` applied
+//! messages, covering only the targets dirtied in that epoch and the
+//! watermark it closed at). Once the chain
 //! reaches [`MAX_DELTA_CHAIN`] images it collapses into a fresh base. A
 //! [`ShardMsg::Crash`] control message — the chaos drill's kill switch —
 //! makes the worker wipe its live state and exit, exactly as a crashed
@@ -29,16 +29,16 @@
 //! starts from a fresh state, applies each image in the chain, replays
 //! the journal, and spawns a fresh worker over the *same* queue, so
 //! messages that were still queued at the crash are drained by the
-//! successor and nothing is lost: the respawned shard converges
-//! bit-for-bit with one that never crashed.
+//! successor and nothing is lost: the respawned shard equals one that
+//! never crashed.
 //!
-//! Delta replay is exact, not approximate: a delta replays the *same*
-//! sequence of accepted watermark advances the live shard applied (so
-//! untouched targets take the identical `advance_watermark` calls on
-//! identical state), and every span-touched target is replaced outright
-//! by its full snapshot at epoch close. The replayed byte volume is
-//! therefore O(recent change), not O(total state) — measured per respawn
-//! in [`LifecycleEvent::ShardRespawned`].
+//! Delta replay is exact because damage is an integer sum (DESIGN.md §5,
+//! decision 7): untouched targets take one advance to the epoch's closing
+//! watermark, which freezes the same total as the live shard's many, and
+//! every span-touched target is replaced outright by its full snapshot at
+//! epoch close. The replayed byte volume is therefore O(recent change),
+//! not O(total state) — measured per respawn in
+//! [`LifecycleEvent::ShardRespawned`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,6 +48,7 @@ use std::thread::JoinHandle;
 use cdi_core::error::{CdiError, Result};
 use cdi_core::event::{Category, EventSpan, Target};
 use cdi_core::indicator::VmCdi;
+use cdi_core::num::damage_ratio;
 use cdi_core::streaming::{AccumulatorSnapshot, CdiAccumulator};
 use cdi_core::time::Timestamp;
 use minispark::pack::{PackReader, PackWriter};
@@ -75,15 +76,6 @@ pub enum ShardMsg {
     /// applied message; supervision rebuilds the shard from its durable
     /// image chain plus the journal.
     Crash,
-}
-
-/// Index of a category in the per-target accumulator triple.
-pub(crate) fn cat_index(category: Category) -> usize {
-    match category {
-        Category::Unavailability => 0,
-        Category::Performance => 1,
-        Category::ControlPlane => 2,
-    }
 }
 
 /// Live CDI of one target across all three sub-metrics — the point-lookup
@@ -175,12 +167,6 @@ pub struct ShardState {
     /// exactly what the next [`ShardDelta`] must carry.
     // bound: fleet-sized (subset of `targets`), cleared every epoch by take_delta
     dirty: HashSet<Target>,
-    /// Accepted watermark advances since the last epoch was cut, in
-    /// application order — replayed verbatim by
-    /// [`ShardState::apply_delta`] so untouched targets take the identical
-    /// `advance_watermark` call sequence (bit-exact frozen integrals).
-    // bound: cleared every durability epoch by take_delta
-    epoch_advances: Vec<Timestamp>,
     /// Watermark when the current durability epoch opened.
     epoch_start: Timestamp,
 }
@@ -194,7 +180,6 @@ impl ShardState {
             targets: HashMap::new(),
             rejected: 0,
             dirty: HashSet::new(),
-            epoch_advances: Vec::new(),
             epoch_start: period_start,
         }
     }
@@ -245,28 +230,19 @@ impl ShardState {
                     }
                     fresh
                 });
-                if accs[cat_index(span.category)].ingest(span).is_err() {
+                if accs[span.category.index()].ingest(span).is_err() {
                     self.rejected += 1;
                 }
             }
-            ShardMsg::Watermark(to) => {
-                if to < self.watermark {
-                    self.rejected += 1;
-                    return;
-                }
-                // bound: cleared every durability epoch by take_delta
-                self.epoch_advances.push(to);
-                self.advance_all(to);
-            }
+            ShardMsg::Watermark(to) => self.advance_all(to),
             ShardMsg::Crash => {
                 self.rejected += 1;
             }
         }
     }
 
-    /// Advance the shard watermark and every accumulator, without
-    /// recording the advance in the current epoch (delta replay re-applies
-    /// advances that are already durable).
+    /// Advance the shard watermark and every accumulator; a regressing
+    /// watermark is counted as a rejection.
     fn advance_all(&mut self, to: Timestamp) {
         if to < self.watermark {
             self.rejected += 1;
@@ -336,7 +312,7 @@ impl ShardState {
     pub fn top_k(&self, k: usize, category: Category) -> Result<Vec<(Target, f64)>> {
         let mut rows = Vec::with_capacity(self.targets.len());
         for (&target, accs) in &self.targets {
-            rows.push((target, accs[cat_index(category)].cdi()?));
+            rows.push((target, accs[category.index()].cdi()?));
         }
         rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         rows.truncate(k);
@@ -352,21 +328,18 @@ impl ShardState {
         if service_time <= 0 {
             return Err(CdiError::degenerate("no elapsed service time yet"));
         }
-        match self.targets.get(&Target::Vm(vm)) {
-            Some(accs) => Ok(VmCdi {
-                vm,
-                service_time,
-                unavailability: accs[0].cdi()?,
-                performance: accs[1].cdi()?,
-                control_plane: accs[2].cdi()?,
-            }),
-            None => Ok(VmCdi {
-                vm,
-                service_time,
-                unavailability: 0.0,
-                performance: 0.0,
-                control_plane: 0.0,
-            }),
+        let [unavailability, performance, control_plane] =
+            self.damage(Target::Vm(vm)).map(|d| damage_ratio(d, service_time));
+        Ok(VmCdi { vm, service_time, unavailability, performance, control_plane })
+    }
+
+    /// The damage (µ-weight·ms) frozen so far for one target, per category
+    /// in [`Category::ALL`] order; all zero for a target never seen. Tick
+    /// tables difference this across watermarks.
+    pub fn damage(&self, target: Target) -> [u64; 3] {
+        match self.targets.get(&target) {
+            Some(accs) => accs.each_ref().map(CdiAccumulator::damage_integral),
+            None => [0; 3],
         }
     }
 
@@ -407,8 +380,7 @@ impl ShardState {
 
     /// Close the current durability epoch and open the next one: returns
     /// the [`ShardDelta`] covering everything since the last cut — full
-    /// snapshots of every span-dirtied target plus the exact sequence of
-    /// accepted watermark advances.
+    /// snapshots of every span-dirtied target and the watermark reached.
     pub(crate) fn take_delta(&mut self) -> ShardDelta {
         let mut changed: Vec<TargetSnapshot> = self
             .dirty
@@ -420,7 +392,6 @@ impl ShardState {
             from_watermark: self.epoch_start,
             to_watermark: self.watermark,
             rejected: self.rejected,
-            advances: std::mem::take(&mut self.epoch_advances),
             changed,
         };
         self.epoch_start = self.watermark;
@@ -433,29 +404,23 @@ impl ShardState {
     /// to the watermark and restores every target.
     pub(crate) fn take_base(&mut self) -> ShardDelta {
         self.dirty.clear();
-        self.epoch_advances.clear();
         self.epoch_start = self.watermark;
         ShardDelta {
             from_watermark: self.period_start,
             to_watermark: self.watermark,
             rejected: self.rejected,
-            advances: vec![self.watermark],
             changed: self.snapshot(),
         }
     }
 
-    /// Apply one durability image on top of this state (respawn path).
-    /// Replays the recorded watermark advances — the identical
-    /// `advance_watermark` call sequence the live shard took, so untouched
-    /// targets stay bit-exact — then replaces every dirtied target with
-    /// its epoch-close snapshot. Validation failures count as rejections
-    /// rather than propagating: supervision must always produce a serving
-    /// shard.
+    /// Apply one durability image on top of this state (respawn path):
+    /// advance untouched targets to the epoch's closing watermark, then
+    /// replace every dirtied target with its epoch-close snapshot.
+    /// Validation failures count as rejections rather than propagating:
+    /// supervision must always produce a serving shard.
     pub(crate) fn apply_delta(&mut self, d: &ShardDelta) {
-        for &adv in &d.advances {
-            self.advance_all(adv);
-        }
-        // Authoritative counter, set after the replay so replay-side
+        self.advance_all(d.to_watermark);
+        // Authoritative counter, set after the advance so replay-side
         // rejections (impossible for a worker-written delta) cannot skew
         // it; restore failures below still surface as bumps on top.
         self.rejected = d.rejected;
@@ -909,9 +874,7 @@ mod tests {
         });
         st.apply(ShardMsg::Watermark(minutes(100)));
         let p = st.point(Target::Vm(1)).unwrap().unwrap();
-        assert!((p.unavailability - 10.0 / 100.0).abs() < 1e-12);
-        assert!((p.performance - 0.5 * 20.0 / 100.0).abs() < 1e-12);
-        assert!(p.control_plane.abs() < 1e-15);
+        assert_eq!((p.unavailability, p.performance, p.control_plane), (0.1, 0.1, 0.0));
         assert!(st.point(Target::Vm(2)).is_none());
     }
 
@@ -927,7 +890,7 @@ mod tests {
         st.apply(ShardMsg::Watermark(minutes(100)));
         let p = st.point(Target::Vm(9)).unwrap().unwrap();
         // 10 damaged minutes over the full 100-minute elapsed period.
-        assert!((p.unavailability - 10.0 / 100.0).abs() < 1e-12, "{p:?}");
+        assert_eq!(p.unavailability, 0.1, "{p:?}");
     }
 
     #[test]
@@ -980,18 +943,17 @@ mod tests {
         let mut revived = ShardState::from_parts(0, minutes(10), 0, &snaps).unwrap();
         revived.apply(ShardMsg::Watermark(minutes(40)));
         st.apply(ShardMsg::Watermark(minutes(40)));
-        let a = st.point(Target::Vm(4)).unwrap().unwrap();
-        let b = revived.point(Target::Vm(4)).unwrap().unwrap();
-        assert!((a.performance - b.performance).abs() < 1e-15);
+        assert_eq!(st.snapshot(), revived.snapshot());
 
         // Watermark mismatch is rejected.
         assert!(ShardState::from_parts(0, 0, 0, &snaps).is_err());
     }
 
     /// Deterministic seeded kill/respawn: a shard crashed at a fixed point
-    /// in a fixed stream converges bit-for-bit with one that never
-    /// crashed. The seed fixes the stream shape and the kill position, so
-    /// every run exercises the same checkpoint/journal split.
+    /// in a fixed stream equals one that never crashed. The seed fixes the
+    /// stream shape and the kill position, so every run exercises the same
+    /// checkpoint/journal split; weights sit on no grid and every epoch
+    /// spans several watermark advances, which a delta replays as one.
     #[test]
     fn seeded_kill_respawn_is_lossless() {
         // SplitMix64, the workspace's deterministic generator idiom.
@@ -1020,10 +982,10 @@ mod tests {
             };
             msgs.push(ShardMsg::Span {
                 target: Target::Vm(vm),
-                span: span(start, start + len, 0.5, cat),
+                span: span(start, start + len, ((r >> 24) % 997 + 1) as f64 / 997.0, cat),
             });
-            if i % 20 == 19 {
-                mark += 30;
+            if i % 5 == 4 {
+                mark += 7;
                 msgs.push(ShardMsg::Watermark(minutes(mark)));
             }
         }

@@ -63,8 +63,8 @@ fn build_snapshot(deliveries: &[(Target, EventSpan)], mark: i64) -> ServiceSnaps
 }
 
 proptest! {
-    /// The full snapshot structure — open spans, f64 frozen integrals and
-    /// all — for arbitrary accumulated state.
+    /// The full snapshot structure — open spans, frozen damage and all —
+    /// for arbitrary accumulated state.
     #[test]
     fn snapshots_obey_the_pack_laws(
         deliveries in prop::collection::vec(delivery_strategy(), 1..30),
@@ -73,8 +73,8 @@ proptest! {
         assert_pack_laws(&build_snapshot(&deliveries, mark));
     }
 
-    /// A shard's durable image (the base shape: every target, one advance
-    /// to the watermark) over the same arbitrary state.
+    /// A shard's durable image (the base shape: every target, at the
+    /// watermark) over the same arbitrary state.
     #[test]
     fn shard_deltas_obey_the_pack_laws(
         deliveries in prop::collection::vec(delivery_strategy(), 1..30),
@@ -85,7 +85,6 @@ proptest! {
             from_watermark: 0,
             to_watermark: st.watermark(),
             rejected: st.rejected(),
-            advances: vec![st.watermark()],
             changed: st.snapshot(),
         });
     }

@@ -17,10 +17,10 @@ const HORIZON_MIN: i64 = 600;
 
 /// Strategy: one delivery — a target drawn from a small id space (so
 /// targets repeat and accumulate multi-span state) and a minute-aligned
-/// span with weight on a grid.
+/// span with weight `k/997`, off every binary and decimal grid.
 fn delivery_strategy() -> impl Strategy<Value = (Target, EventSpan)> {
-    (0u64..24, 0u64..2, 0i64..HORIZON_MIN, 1i64..120, 1usize..=10, 0usize..3).prop_map(
-        |(id, kind, start, len, w10, cat)| {
+    (0u64..24, 0u64..2, 0i64..HORIZON_MIN, 1i64..120, 1u32..=997, 0usize..3).prop_map(
+        |(id, kind, start, len, k, cat)| {
             let target = if kind == 0 { Target::Vm(id) } else { Target::Nc(id) };
             let category = match cat {
                 0 => Category::Unavailability,
@@ -32,7 +32,7 @@ fn delivery_strategy() -> impl Strategy<Value = (Target, EventSpan)> {
                 category,
                 minutes(start),
                 minutes(start + len),
-                w10 as f64 / 10.0,
+                f64::from(k) / 997.0,
             );
             (target, span)
         },

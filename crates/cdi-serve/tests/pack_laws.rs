@@ -7,12 +7,16 @@
 //! - each entry encodes to exactly the bytes in `fixtures/golden.hex`,
 //!   captured from the hand-written encoders before the codec was made
 //!   declarative. These are persisted and wire formats: the fixture only
-//!   changes together with a magic/version bump.
+//!   changes together with a magic/version bump — as the entries holding
+//!   accumulator columns did for image version 2 (integer damage), whose
+//!   version-1 bytes stay in the fixture under `*_v1` keys and must be
+//!   refused.
 
 mod common;
 
 use std::fmt::Debug;
 
+use cdi_core::error::CdiError;
 use cdi_core::event::{Category, EventSpan, Target};
 use cdi_core::indicator::CdiBreakdown;
 use cdi_core::streaming::AccumulatorSnapshot;
@@ -25,6 +29,13 @@ use cdi_serve::{
     TargetCdi, TargetSnapshot,
 };
 use simfleet::Scope;
+
+const GOLDEN: &str = include_str!("fixtures/golden.hex");
+
+/// Fixture entries kept from image version 1 (`snapshot_v1`, `delta_v1`).
+fn is_v1(line: &str) -> bool {
+    line.split(' ').next().is_some_and(|name| name.ends_with("_v1"))
+}
 
 fn span(name: &str, category: Category, start: i64, end: i64, weight: f64) -> EventSpan {
     EventSpan { name: name.to_string(), category, start, end, weight }
@@ -84,19 +95,19 @@ fn sample_targets() -> Vec<TargetSnapshot> {
             unavailability: acc(
                 0,
                 7_200_000,
-                123.456,
+                123_456_000,
                 vec![span("vm_down", Category::Unavailability, 7_000_000, 7_900_000, 1.0)],
             ),
-            performance: acc(0, 7_200_000, 0.25, vec![]),
-            control_plane: acc(0, 7_200_000, 0.0, vec![]),
+            performance: acc(0, 7_200_000, 250_000, vec![]),
+            control_plane: acc(0, 7_200_000, 0, vec![]),
         },
         TargetSnapshot {
             target: Target::Nc(1),
-            unavailability: acc(0, 7_200_000, 0.0, vec![]),
+            unavailability: acc(0, 7_200_000, 0, vec![]),
             performance: acc(
                 0,
                 7_200_000,
-                9.5,
+                9_500_000,
                 vec![
                     span("slow_io", Category::Performance, 6_900_000, 8_000_000, 0.5),
                     span("slow_io", Category::Performance, 7_100_000, 7_300_000, 0.25),
@@ -105,7 +116,7 @@ fn sample_targets() -> Vec<TargetSnapshot> {
             control_plane: acc(
                 0,
                 7_200_000,
-                1.5,
+                1_500_000,
                 vec![span("api_error", Category::ControlPlane, 7_150_000, 7_250_000, 0.125)],
             ),
         },
@@ -126,7 +137,6 @@ fn sample_delta() -> ShardDelta {
         from_watermark: 3_600_000,
         to_watermark: 7_200_000,
         rejected: 1,
-        advances: vec![4_000_000, 5_500_000, 7_200_000],
         changed: sample_targets(),
     }
 }
@@ -321,10 +331,42 @@ fn golden_bytes_are_reproduced() {
         format!("{name} {hex}")
     }
     let got = map_corpus!(line);
-    let golden: Vec<&str> = include_str!("fixtures/golden.hex").lines().collect();
+    let golden: Vec<&str> = GOLDEN.lines().filter(|l| !is_v1(l)).collect();
     assert_eq!(got.len(), golden.len(), "corpus and fixture must list the same entries");
     for (got, golden) in got.iter().zip(golden) {
         assert_eq!(got, golden, "an entry no longer encodes to its golden bytes");
+    }
+}
+
+/// Images written before version 2 hold `f64` damage bits (and, for a
+/// delta, the advance chain): they are refused by their magic, not
+/// misread as integers.
+#[test]
+fn v1_images_are_refused_with_a_typed_error() {
+    let v1: Vec<(&str, Vec<u8>)> = GOLDEN
+        .lines()
+        .filter(|l| is_v1(l))
+        .filter_map(|l| l.split_once(' '))
+        .map(|(name, hex)| {
+            let bytes = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            (name, bytes)
+        })
+        .collect();
+    assert_eq!(v1.len(), 2, "one v1 snapshot and one v1 delta");
+    for (name, bytes) in v1 {
+        let err = match name {
+            "snapshot_v1" => cdipack::decode::<ServiceSnapshot>(&bytes).map(|_| ()),
+            "delta_v1" => cdipack::decode::<ShardDelta>(&bytes).map(|_| ()),
+            other => panic!("unexpected v1 fixture entry {other}"),
+        }
+        .unwrap_err();
+        assert!(
+            matches!(&err, CdiError::InvalidArgument(m) if m.contains("bad magic")),
+            "{name}: {err}"
+        );
     }
 }
 

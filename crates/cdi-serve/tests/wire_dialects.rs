@@ -13,7 +13,7 @@ use std::sync::Arc;
 use cdi_core::event::{Category, EventSpan, Target};
 use cdi_serve::cdipack::{self, WIRE_MAGIC};
 use cdi_serve::proto::{IngestItem, Request, Response};
-use cdi_serve::{serve, CdiService, ServeConfig};
+use cdi_serve::{serve, CdiService, ServeConfig, ServiceSnapshot};
 
 const MIN: i64 = 60_000;
 
@@ -143,6 +143,66 @@ fn both_dialects_serve_one_state_with_identical_answers() {
     drop(json);
     drop(pack);
     handle.join();
+}
+
+/// The wire decodes a negative duration, so an inverted span ahead of the
+/// watermark reaches the accumulator. It must be turned away there — the
+/// rule `restore` applies — or the state it sits in can never again be
+/// respawned from a delta, re-sharded, or restored from a snapshot.
+#[test]
+fn an_inverted_span_is_rejected_at_ingest_and_poisons_nothing() {
+    // An epoch cut after every applied batch: the respawn below replays
+    // deltas that contain the target.
+    let cfg = || ServeConfig { shards: 2, checkpoint_every: 1, ..ServeConfig::default() };
+    let service = Arc::new(CdiService::new(cfg()).unwrap());
+    let control = CdiService::new(cfg()).unwrap();
+    let mut handle = serve(Arc::clone(&service), None, "127.0.0.1:0", 1).unwrap();
+    let mut pack = PackClient::connect(handle.addr());
+
+    let vm = Target::Vm(1);
+    let healthy = span("host_down", Category::Unavailability, 0, 10 * MIN, 1.0);
+    let inverted = EventSpan {
+        name: "host_down".into(),
+        category: Category::Unavailability,
+        start: 50 * MIN,
+        end: 40 * MIN,
+        weight: 0.5,
+    };
+    control.ingest(vm, healthy.clone());
+    control.advance_watermark(30 * MIN).unwrap();
+    control.flush();
+    let expect = control.point(vm).unwrap();
+    assert_eq!(expect.map(|p| p.unavailability), Some(1.0 / 3.0));
+
+    for span in [healthy, inverted] {
+        let reply = pack.call(&Request::Ingest { target: vm, span });
+        assert!(matches!(reply, Response::Ingested { accepted: 1, shed: 0 }), "{reply:?}");
+    }
+    assert!(matches!(pack.call(&Request::Advance { watermark: 30 * MIN }), Response::Ok));
+    assert!(matches!(pack.call(&Request::Flush), Response::Ok));
+    assert_eq!(service.point(vm).unwrap(), expect);
+    assert_eq!(service.metrics().rejected, 1);
+
+    // Kill → supervise: the crash lands behind the epoch cuts, so the
+    // respawn rebuilds the target from the delta chain.
+    assert!(service.kill_shard(service.shard_of(vm)));
+    while service.supervise() == 0 {
+        std::thread::yield_now();
+    }
+    service.flush();
+    assert_eq!(service.point(vm).unwrap(), expect);
+
+    service.resize(3).unwrap();
+    assert_eq!(service.point(vm).unwrap(), expect);
+
+    let snap = ServiceSnapshot::from_pack(&service.snapshot().to_pack()).unwrap();
+    let restored = CdiService::restore(cfg(), &snap).unwrap();
+    assert_eq!(restored.point(vm).unwrap(), expect);
+    assert_eq!(restored.metrics().rejected, 1);
+    assert_eq!(service.metrics().rejected, 1);
+
+    drop(pack);
+    handle.stop();
 }
 
 #[test]

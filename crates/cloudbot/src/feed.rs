@@ -121,11 +121,10 @@ impl LiveFeed {
     /// the full batch/watermark skeleton, and each target's spans land in
     /// exactly one partition, chosen by a stable hash of the target.
     ///
-    /// Per-target exclusivity is the property that matters: a target's
-    /// spans keep their in-feed order through a single producer, so
-    /// floating-point accumulation order downstream is independent of how
-    /// the producers interleave — concurrent delivery stays bit-identical
-    /// to sequential delivery. Quarantine accounting is not split; it
+    /// A target's spans keep their in-feed order through a single
+    /// producer, so its open-span list (and snapshot bytes) does not depend
+    /// on how the producers interleave. Its CDI would not either way:
+    /// damage is an integer sum. Quarantine accounting is not split; it
     /// rides with partition 0.
     pub fn partition(&self, n: usize) -> Vec<LiveFeed> {
         let n = n.max(1);

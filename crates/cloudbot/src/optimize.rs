@@ -15,19 +15,19 @@ use crate::ops::{ActionKind, ActionRequest};
 
 /// Expected CDI relief of acting on a target now: the current max active
 /// weight times the remaining damage time, summed over the target's open
-/// spans after `now`. This is exactly the contribution the spans would add
-/// to the damage integral of Algorithm 1 if left alone.
-pub fn damage_pressure(spans: &[EventSpan], now: i64) -> f64 {
-    // Remaining envelope integral from `now`: reuse the indicator's exact
-    // machinery over a pseudo-period ending at the last span end.
+/// spans after `now`, in µ-weight·ms. This is exactly the contribution the
+/// spans would add to the damage integral of Algorithm 1 if left alone.
+pub fn damage_pressure(spans: &[EventSpan], now: i64) -> u64 {
+    // Remaining damage from `now`: reuse the indicator's exact machinery
+    // over a pseudo-period ending at the last span end.
     let horizon = spans.iter().map(|s| s.end).max().unwrap_or(now);
     if horizon <= now {
-        return 0.0;
+        return 0;
     }
     let Ok(period) = cdi_core::indicator::ServicePeriod::new(now, horizon) else {
-        return 0.0;
+        return 0;
     };
-    cdi_core::indicator::envelope_integral(spans, period).unwrap_or(0.0)
+    cdi_core::indicator::damage(spans, period).unwrap_or(0)
 }
 
 /// Order action requests so the targets with the highest remaining damage
@@ -39,14 +39,12 @@ pub fn prioritize_by_damage<'a>(
     spans_of: impl Fn(&Target) -> &'a [EventSpan],
 ) -> Vec<ActionRequest> {
     // Decorate-sort-undecorate keeps the pressure computation O(n).
-    let mut decorated: Vec<(f64, usize, ActionRequest)> = requests
+    let mut decorated: Vec<(u64, usize, ActionRequest)> = requests
         .drain(..)
         .enumerate()
         .map(|(i, r)| (damage_pressure(spans_of(&r.target), now), i, r))
         .collect();
-    decorated.sort_by(|a, b| {
-        b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
-    });
+    decorated.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     decorated.into_iter().map(|(_, _, r)| r).collect()
 }
 
@@ -83,18 +81,16 @@ mod tests {
     fn pressure_is_remaining_weighted_time() {
         // 10 minutes remaining at weight 0.5 → 5 weight-minutes.
         let spans = vec![span(0, 20, 0.5)];
-        let p = damage_pressure(&spans, minutes(10));
-        assert!((p - 10.0 * 0.5 * 60_000.0).abs() < 1e-6);
+        assert_eq!(damage_pressure(&spans, minutes(10)), 10 * 500_000 * 60_000);
         // Already-ended spans exert no pressure.
-        assert_eq!(damage_pressure(&spans, minutes(30)), 0.0);
-        assert_eq!(damage_pressure(&[], 0), 0.0);
+        assert_eq!(damage_pressure(&spans, minutes(30)), 0);
+        assert_eq!(damage_pressure(&[], 0), 0);
     }
 
     #[test]
     fn pressure_uses_max_envelope_not_sum() {
         let spans = vec![span(0, 10, 0.5), span(0, 10, 0.9)];
-        let p = damage_pressure(&spans, 0);
-        assert!((p - 10.0 * 0.9 * 60_000.0).abs() < 1e-6, "overlap takes max: {p}");
+        assert_eq!(damage_pressure(&spans, 0), 10 * 900_000 * 60_000, "overlap takes max");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use cdi_core::catalog::EventCatalog;
+use cdi_core::catalog::{is_host_only, EventCatalog};
 use cdi_core::error::Result;
 use cdi_core::event::{EventSpan, RawEvent, Severity, Target};
 use cdi_core::indicator::{compute_vm_cdi, ServicePeriod, VmCdi};
@@ -263,8 +263,8 @@ impl DailyPipeline {
 
     /// Project a by-target span map onto VMs, copying each NC's spans onto
     /// its hosted VMs (host-only telemetry excluded) — shared by the strict
-    /// and lenient paths.
-    fn propagate_nc_damage(
+    /// and lenient paths and the scenario suite's batch table.
+    pub fn propagate_nc_damage(
         world: &SimWorld,
         by_target: &HashMap<Target, Vec<EventSpan>>,
     ) -> HashMap<VmId, Vec<EventSpan>> {
@@ -274,9 +274,7 @@ impl DailyPipeline {
             let mut spans: Vec<EventSpan> =
                 by_target.get(&Target::Vm(vm.id)).unwrap_or(&empty).clone();
             if let Some(nc_spans) = by_target.get(&Target::Nc(vm.nc)) {
-                spans.extend(
-                    nc_spans.iter().filter(|s| s.name != "inspect_cpu_power_tdp").cloned(),
-                );
+                spans.extend(nc_spans.iter().filter(|s| !is_host_only(&s.name)).cloned());
             }
             out.insert(vm.id, spans);
         }

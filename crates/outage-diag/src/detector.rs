@@ -3,11 +3,10 @@
 //! [`DiagDetector`] replays a prepared scenario's per-tick damage table
 //! through the [`OutageClusterer`](crate::cluster::OutageClusterer) —
 //! either the batch accumulator table or the sharded live-service replay
-//! (the same table pair the suite's parity tests pin to 1e-9) — and emits
-//! one [`Detection`] per diagnosed outage. Because diagnoses derive from
-//! threshold-crossing *counts*, not raw cell values, the batch and live
-//! paths produce byte-identical diagnoses, which `tests/diag_props.rs`
-//! asserts with `==`.
+//! (the same table pair the suite's parity tests pin equal) — and emits
+//! one [`Detection`] per diagnosed outage. The two tables are equal cell
+//! for cell, so the batch and live paths produce byte-identical
+//! diagnoses, which `tests/diag_props.rs` asserts with `==`.
 
 use cdi_core::error::Result;
 use scenario_suite::detector::{Detection, Detector};

@@ -3,7 +3,7 @@
 //! [`ServiceTap`] recovers per-tick damage fractions from a running
 //! [`CdiService`] exactly like the suite's
 //! [`live_table`](scenario_suite::table::live_table) — watermark deltas
-//! of [`CdiService::vm_row`] — and feeds them straight into the streaming
+//! of [`CdiService::damage`] — and feeds them straight into the streaming
 //! [`OutageClusterer`](crate::cluster::OutageClusterer). [`LiveDiag`]
 //! wraps a tap plus the service `Arc` into a
 //! [`cdi_serve::DiagProvider`], so a server started with
@@ -15,10 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cdi_core::error::{CdiError, Result};
-use cdi_core::event::Category;
-use cdi_core::num::ms_f64;
+use cdi_core::event::{Category, Target};
 use cdi_serve::{CdiService, DiagProvider, OutageScope, OutageSummary};
-use scenario_suite::table::category_index;
+use scenario_suite::table::tick_cell;
 use scenario_suite::truth::TruthScope;
 use simfleet::faults::DamageCategory;
 use simfleet::topology::{Fleet, VmId};
@@ -29,8 +28,8 @@ use crate::cluster::{DiagConfig, OutageClusterer, OutageDiagnosis};
 /// requests must produce the same tick sequence as a serial replay.
 #[derive(Debug)]
 struct TapState {
-    /// Per-VM damage integrals at the previous watermark.
-    prev: BTreeMap<VmId, [f64; 3]>,
+    /// Per-VM frozen damage at the previous watermark.
+    prev: BTreeMap<VmId, [u64; 3]>,
     /// The previous watermark (start of the next tick).
     low: i64,
     clusterer: OutageClusterer,
@@ -42,21 +41,14 @@ struct TapState {
 /// [`observe`](ServiceTap::observe) call per committed watermark advance.
 #[derive(Debug)]
 pub struct ServiceTap {
-    vms: Vec<VmId>,
     state: Mutex<TapState>,
 }
 
 impl ServiceTap {
     /// A tap over `fleet`'s VMs, ticking from `start`.
     pub fn new(fleet: Fleet, start: i64, config: DiagConfig) -> ServiceTap {
-        let mut vms: Vec<VmId> = fleet.vms().iter().map(|v| v.id).collect();
-        vms.sort_unstable();
-        let mut prev = BTreeMap::new();
-        for vm in &vms {
-            prev.insert(*vm, [0.0f64; 3]);
-        }
+        let prev = fleet.vms().iter().map(|v| (v.id, [0u64; 3])).collect();
         ServiceTap {
-            vms,
             state: Mutex::new(TapState {
                 prev,
                 low: start,
@@ -80,23 +72,13 @@ impl ServiceTap {
             return Ok(Vec::new());
         }
         service.flush();
-        let width = ms_f64(watermark - state.low);
-        let mut cells: BTreeMap<VmId, [f64; 3]> = BTreeMap::new();
-        for vm in &self.vms {
-            let r = service.vm_row(*vm)?;
-            let service_time = ms_f64(r.service_time);
-            let mut cell = [0.0f64; 3];
-            let p = state.prev.entry(*vm).or_insert([0.0; 3]);
-            for cat in Category::ALL {
-                let c = category_index(cat);
-                let integral = r.get(cat) * service_time;
-                cell[c] = (integral - p[c]) / width;
-                p[c] = integral;
-            }
-            cells.insert(*vm, cell);
-        }
         let low = state.low;
         state.low = watermark;
+        let mut cells: BTreeMap<VmId, [f64; 3]> = BTreeMap::new();
+        for (vm, p) in &mut state.prev {
+            let now = service.damage(Target::Vm(*vm));
+            cells.insert(*vm, tick_cell(now, p, watermark - low));
+        }
         let newly_closed = state.clusterer.observe_tick(low, watermark, &cells);
         state.closed.extend(newly_closed.clone());
         Ok(newly_closed)

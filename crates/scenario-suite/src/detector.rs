@@ -22,7 +22,7 @@ use simfleet::faults::DamageCategory;
 use statskit::anomaly::{AnomalyKind, KSigma};
 
 use crate::run::ScenarioRun;
-use crate::table::{category_index, live_table};
+use crate::table::live_table;
 use crate::truth::{category_rank, TruthScope};
 
 /// One detector firing: where, when, and (optionally) which category it
@@ -109,7 +109,7 @@ impl Detector for CdiThreshold {
             if let Some(row) = table.row(vm) {
                 for (i, cell) in row.iter().enumerate() {
                     for cat in Category::ALL {
-                        if cell[category_index(cat)] > self.threshold {
+                        if cell[cat.index()] > self.threshold {
                             out.push(Detection {
                                 scope: TruthScope::Vm(vm),
                                 time: run.tick_start(i),

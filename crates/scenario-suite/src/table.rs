@@ -2,7 +2,7 @@
 //!
 //! A [`TickTable`] holds, for every VM and every tick of the evaluation
 //! window, the damage *fraction* of the tick per stability category —
-//! `envelope integral over the tick / tick length`, a value in `[0, 1]`
+//! `damage frozen inside the tick / tick length`, a value in `[0, 1]`
 //! (the per-tick differential of the CDI). Two independent builders
 //! produce it:
 //!
@@ -11,18 +11,17 @@
 //!   [`CdiAccumulator`]s per VM tick by tick.
 //! - [`live_table`] — the serving path: replay the
 //!   [`LiveFeed`](cloudbot::feed::LiveFeed) through a sharded
-//!   [`CdiService`] and recover each tick's integral from the watermark
-//!   deltas of [`CdiService::vm_row`].
+//!   [`CdiService`] and read each VM's frozen damage at every watermark.
 //!
-//! The two are the batch/live parity pair: `tests/serve_parity.rs` asserts
-//! they agree within 1e-9 on every cell, and the determinism proptests
-//! assert [`live_table`] is *exactly* identical across shard counts.
+//! Both difference the same integer damage through [`tick_cell`], so the
+//! two tables — and [`live_table`] at any shard count — are equal cell
+//! for cell (`tests/serve_parity.rs`, the determinism proptests).
 
 use std::collections::BTreeMap;
 
 use cdi_core::error::Result;
-use cdi_core::event::{Category, EventSpan};
-use cdi_core::num::ms_f64;
+use cdi_core::event::Target;
+use cdi_core::num::damage_ratio;
 use cdi_core::streaming::CdiAccumulator;
 use cdi_serve::{CdiService, ServeConfig};
 use cloudbot::feed::LiveFeed;
@@ -31,17 +30,8 @@ use simfleet::topology::VmId;
 
 use crate::catalog::Scenario;
 
-/// Index of a category in the table's per-tick `[f64; 3]` rows
-/// (the order of [`Category::ALL`]).
-pub fn category_index(category: Category) -> usize {
-    match category {
-        Category::Unavailability => 0,
-        Category::Performance => 1,
-        Category::ControlPlane => 2,
-    }
-}
-
-/// Per-VM, per-category, per-tick damage fractions.
+/// Per-VM, per-category, per-tick damage fractions
+/// (categories in [`cdi_core::event::Category::ALL`] order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TickTable {
     /// Start of the evaluation window.
@@ -66,81 +56,55 @@ impl TickTable {
     pub fn row(&self, vm: VmId) -> Option<&[[f64; 3]]> {
         self.rows.get(&vm).map(Vec::as_slice)
     }
+}
 
-    /// The largest absolute per-cell difference against another table
-    /// (infinity when shapes differ) — the parity test's metric.
-    pub fn max_abs_diff(&self, other: &TickTable) -> f64 {
-        if self.vms() != other.vms() || self.ticks() != other.ticks() {
-            return f64::INFINITY;
-        }
-        let mut worst: f64 = 0.0;
-        for (vm, row) in &self.rows {
-            if let Some(other_row) = other.rows.get(vm) {
-                for (a, b) in row.iter().zip(other_row.iter()) {
-                    for c in 0..3 {
-                        worst = worst.max((a[c] - b[c]).abs());
-                    }
-                }
-            }
-        }
-        worst
-    }
+/// One tick's cell: the damage frozen since `prev` as a fraction of the
+/// `width_ms`-long tick, leaving `prev` at `now` for the next tick. Frozen
+/// damage only grows; a reading below `prev` (a shard caught between a
+/// crash and its respawn) saturates to an empty cell.
+pub fn tick_cell(now: [u64; 3], prev: &mut [u64; 3], width_ms: i64) -> [f64; 3] {
+    let cell = [0, 1, 2].map(|c| damage_ratio(now[c].saturating_sub(prev[c]), width_ms));
+    *prev = now;
+    cell
 }
 
 /// The batch path: all spans derived up front (lenient, matching the
-/// feed's derivation), NC damage fanned out to hosted VMs with host-only
-/// telemetry excluded, then three accumulators per VM drained tick by
-/// tick.
+/// feed's derivation), NC damage fanned out to hosted VMs by the daily
+/// pipeline's own propagation, then three accumulators per VM drained tick
+/// by tick.
 pub fn batch_table(
     pipeline: &DailyPipeline,
     scenario: &Scenario,
     events: &[cdi_core::event::RawEvent],
 ) -> Result<TickTable> {
-    let world = &scenario.world;
     let (by_target, _quarantined) = pipeline.spans_by_target_lenient(events, scenario.end);
-    let empty: Vec<EventSpan> = Vec::new();
+    let by_vm = DailyPipeline::propagate_nc_damage(&scenario.world, &by_target);
     let mut rows: BTreeMap<VmId, Vec<[f64; 3]>> = BTreeMap::new();
-    for vm in world.fleet.vms() {
-        let mut spans: Vec<EventSpan> = by_target
-            .get(&cdi_core::event::Target::Vm(vm.id))
-            .unwrap_or(&empty)
-            .clone();
-        if let Some(nc_spans) = by_target.get(&cdi_core::event::Target::Nc(vm.nc)) {
-            spans.extend(
-                nc_spans.iter().filter(|s| s.name != "inspect_cpu_power_tdp").cloned(),
-            );
-        }
-        let mut accs = [
-            CdiAccumulator::new(scenario.start),
-            CdiAccumulator::new(scenario.start),
-            CdiAccumulator::new(scenario.start),
-        ];
+    for (vm, spans) in by_vm {
+        let mut accs = [0; 3].map(|_| CdiAccumulator::new(scenario.start));
         for span in spans {
-            accs[category_index(span.category)].ingest(span)?;
+            accs[span.category.index()].ingest(span)?;
         }
         let mut row = Vec::new();
-        let mut prev = [0.0f64; 3];
+        let mut prev = [0u64; 3];
         let mut t = scenario.start;
         while t < scenario.end {
             let hi = (t + scenario.tick_ms).min(scenario.end);
-            let mut cell = [0.0f64; 3];
-            for c in 0..3 {
-                accs[c].advance_watermark(hi)?;
-                let frozen = accs[c].damage_integral();
-                cell[c] = (frozen - prev[c]) / ms_f64(hi - t);
-                prev[c] = frozen;
+            for acc in &mut accs {
+                acc.advance_watermark(hi)?;
             }
-            row.push(cell);
+            let now = accs.each_ref().map(CdiAccumulator::damage_integral);
+            row.push(tick_cell(now, &mut prev, hi - t));
             t = hi;
         }
-        rows.insert(vm.id, row);
+        rows.insert(vm, row);
     }
     Ok(TickTable { start: scenario.start, tick_ms: scenario.tick_ms, rows })
 }
 
 /// The serving path: replay the feed through a sharded [`CdiService`]
-/// (with NC → VM fan-out routing) and recover each tick's integral from
-/// the watermark deltas of the per-VM rows.
+/// (with NC → VM fan-out routing) and difference each VM's frozen damage
+/// across the watermarks.
 pub fn live_table(scenario: &Scenario, feed: &LiveFeed, shards: usize) -> Result<TickTable> {
     let cfg = ServeConfig {
         shards,
@@ -148,13 +112,9 @@ pub fn live_table(scenario: &Scenario, feed: &LiveFeed, shards: usize) -> Result
         ..ServeConfig::default()
     };
     let mut service = CdiService::new(cfg)?.with_fleet_routing(&scenario.world.fleet);
-    let vms: Vec<VmId> = scenario.world.fleet.vms().iter().map(|v| v.id).collect();
-    let mut rows: BTreeMap<VmId, Vec<[f64; 3]>> = BTreeMap::new();
-    let mut prev: BTreeMap<VmId, [f64; 3]> = BTreeMap::new();
-    for vm in &vms {
-        rows.insert(*vm, Vec::new());
-        prev.insert(*vm, [0.0; 3]);
-    }
+    // Per VM: the frozen damage at the previous watermark, and the row so far.
+    let mut state: BTreeMap<VmId, ([u64; 3], Vec<[f64; 3]>)> =
+        scenario.world.fleet.vms().iter().map(|vm| (vm.id, Default::default())).collect();
     let mut low = scenario.start;
     for batch in &feed.batches {
         for (target, span) in &batch.spans {
@@ -162,25 +122,14 @@ pub fn live_table(scenario: &Scenario, feed: &LiveFeed, shards: usize) -> Result
         }
         service.advance_watermark(batch.watermark)?;
         service.flush();
-        let width = ms_f64(batch.watermark - low);
-        for vm in &vms {
-            let r = service.vm_row(*vm)?;
-            let service_time = ms_f64(r.service_time);
-            let mut cell = [0.0f64; 3];
-            let p = prev.entry(*vm).or_insert([0.0; 3]);
-            for cat in Category::ALL {
-                let c = category_index(cat);
-                let integral = r.get(cat) * service_time;
-                cell[c] = (integral - p[c]) / width;
-                p[c] = integral;
-            }
-            if let Some(row) = rows.get_mut(vm) {
-                row.push(cell);
-            }
+        for (vm, (prev, row)) in &mut state {
+            let now = service.damage(Target::Vm(*vm));
+            row.push(tick_cell(now, prev, batch.watermark - low));
         }
         low = batch.watermark;
     }
     service.shutdown();
+    let rows = state.into_iter().map(|(vm, (_, row))| (vm, row)).collect();
     Ok(TickTable { start: scenario.start, tick_ms: scenario.tick_ms, rows })
 }
 
@@ -227,18 +176,6 @@ mod tests {
         let cfg = ScenarioConfig::quick(1);
         let s = build("ddos-blackhole-wave", &cfg).unwrap();
         let run = ScenarioRun::prepare(&s).unwrap();
-        let live = live_table(&s, &run.feed, 2).unwrap();
-        let diff = run.batch.max_abs_diff(&live);
-        assert!(diff < 1e-9, "batch/live divergence {diff}");
-    }
-
-    #[test]
-    fn max_abs_diff_detects_shape_mismatch() {
-        let cfg = ScenarioConfig::quick(2);
-        let s = build("flapping-recoveries", &cfg).unwrap();
-        let run = ScenarioRun::prepare(&s).unwrap();
-        let empty = TickTable { start: 0, tick_ms: 1, rows: BTreeMap::new() };
-        assert_eq!(run.batch.max_abs_diff(&empty), f64::INFINITY);
-        assert_eq!(run.batch.max_abs_diff(&run.batch.clone()), 0.0);
+        assert_eq!(run.batch, live_table(&s, &run.feed, 2).unwrap());
     }
 }

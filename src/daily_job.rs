@@ -22,6 +22,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use cdi_core::catalog::is_host_only;
 use cdi_core::event::{EventSpan, RawEvent, Target};
 use cdi_core::indicator::{compute_vm_cdi, event_level_cdi, ServicePeriod, VmCdi};
 use cdi_core::quarantine::{assign_weights_lenient, derive_periods_lenient, QuarantinedEvent};
@@ -129,7 +130,7 @@ pub fn run(
                     // Host-only telemetry (TDP inspection) stays at NC scope.
                     let vm_damage: Vec<EventSpan> = spans
                         .iter()
-                        .filter(|s| s.name != "inspect_cpu_power_tdp")
+                        .filter(|s| !is_host_only(&s.name))
                         .cloned()
                         .collect();
                     if vm_damage.is_empty() {
@@ -308,13 +309,7 @@ mod tests {
         let p = DailyPipeline::default();
         let serial = p.vm_cdi_rows(&w, 0, 6 * HOUR).unwrap();
         let job = run(&w, &p, 0, 0, 6 * HOUR, DailyJobConfig::default()).unwrap();
-        assert_eq!(job.rows.len(), serial.len());
-        for (a, b) in job.rows.iter().zip(&serial) {
-            assert_eq!(a.vm, b.vm);
-            assert!((a.unavailability - b.unavailability).abs() < 1e-12, "{a:?} vs {b:?}");
-            assert!((a.performance - b.performance).abs() < 1e-12, "{a:?} vs {b:?}");
-            assert!((a.control_plane - b.control_plane).abs() < 1e-12, "{a:?} vs {b:?}");
-        }
+        assert_eq!(job.rows, serial);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Batch/live parity: one simulated day streamed through `cdi-serve`
-//! reproduces the distributed daily job's per-target CDI within 1e-9.
+//! reproduces the distributed daily job's per-target CDI exactly.
 //!
 //! This is the serving layer's core correctness claim: a flushed service
 //! at watermark `end` is *the same computation* as the batch job over
@@ -59,7 +59,7 @@ fn eventful_world() -> SimWorld {
 }
 
 #[test]
-fn live_service_matches_daily_job_within_1e9() {
+fn live_service_equals_daily_job() {
     let world = eventful_world();
     let pipeline = DailyPipeline::default();
 
@@ -89,29 +89,7 @@ fn live_service_matches_daily_job_within_1e9() {
 
     assert!(!batch.rows.is_empty());
     for row in &batch.rows {
-        let live = service.vm_row(row.vm).unwrap();
-        assert_eq!(live.service_time, row.service_time, "vm {}", row.vm);
-        assert!(
-            (live.unavailability - row.unavailability).abs() < 1e-9,
-            "vm {} unavailability: live {} vs batch {}",
-            row.vm,
-            live.unavailability,
-            row.unavailability
-        );
-        assert!(
-            (live.performance - row.performance).abs() < 1e-9,
-            "vm {} performance: live {} vs batch {}",
-            row.vm,
-            live.performance,
-            row.performance
-        );
-        assert!(
-            (live.control_plane - row.control_plane).abs() < 1e-9,
-            "vm {} control-plane: live {} vs batch {}",
-            row.vm,
-            live.control_plane,
-            row.control_plane
-        );
+        assert_eq!(&service.vm_row(row.vm).unwrap(), row);
     }
 
     // The feed never delivers behind the watermark, so nothing was lost.
@@ -144,10 +122,7 @@ fn rollups_are_consistent_with_vm_rows() {
     let vms = world.fleet.vms_in(&scope);
     assert_eq!(r.vm_count, vms.len());
     let rows: Vec<_> = vms.iter().map(|&vm| service.vm_row(vm).unwrap()).collect();
-    let expect = cdi_core::indicator::aggregate(&rows).unwrap();
-    assert!((r.breakdown.unavailability - expect.unavailability).abs() < 1e-12);
-    assert!((r.breakdown.performance - expect.performance).abs() < 1e-12);
-    assert!((r.breakdown.control_plane - expect.control_plane).abs() < 1e-12);
+    assert_eq!(r.breakdown, cdi_core::indicator::aggregate(&rows).unwrap());
 
     // The whole-fleet rollup over both regions weighs by service time.
     let all = cdi_serve::rollup(&service, &world.fleet, &simfleet::Scope::Region("r2".into()));
@@ -156,7 +131,7 @@ fn rollups_are_consistent_with_vm_rows() {
 
 /// A catalog scenario replayed through BOTH evaluation paths — the
 /// minispark batch daily job and the sharded live service — yields the
-/// same per-VM CDI within 1e-9, and the CDI-threshold detector scores the
+/// same per-VM CDI exactly, and the CDI-threshold detector scores the
 /// two paths identically. This is the scenario suite's own parity claim:
 /// floors pinned against the live path also bind the batch path.
 #[test]
@@ -196,15 +171,7 @@ fn scenario_replay_agrees_across_batch_and_live_paths() {
 
     assert!(!batch.rows.is_empty());
     for row in &batch.rows {
-        let live = service.vm_row(row.vm).unwrap();
-        assert_eq!(live.service_time, row.service_time, "vm {}", row.vm);
-        for (l, b, what) in [
-            (live.unavailability, row.unavailability, "unavailability"),
-            (live.performance, row.performance, "performance"),
-            (live.control_plane, row.control_plane, "control-plane"),
-        ] {
-            assert!((l - b).abs() < 1e-9, "vm {} {what}: live {l} vs batch {b}", row.vm);
-        }
+        assert_eq!(&service.vm_row(row.vm).unwrap(), row);
     }
 
     // The detector sees the same incidents on both paths…
@@ -213,16 +180,10 @@ fn scenario_replay_agrees_across_batch_and_live_paths() {
     let live_dets = CdiThreshold { shards: Some(3), ..CdiThreshold::default() }.detect(&replay).unwrap();
     assert_eq!(batch_dets, live_dets, "batch and live detections diverge");
 
-    // …so the score matrices agree within 1e-9 too.
+    // …so the scores are the same scores.
     let score_cfg = ScoreConfig { slack_ms: scenario.tick_ms, grace_ms: 5 * MIN };
     let sb = score(&scenario.truth, &batch_dets, &scenario.world.fleet, &score_cfg);
     let sl = score(&scenario.truth, &live_dets, &scenario.world.fleet, &score_cfg);
-    assert!((sb.precision - sl.precision).abs() < 1e-9);
-    assert!((sb.recall - sl.recall).abs() < 1e-9);
-    assert!((sb.f1 - sl.f1).abs() < 1e-9);
-    assert_eq!(sb.mean_ttd_ms.is_some(), sl.mean_ttd_ms.is_some());
-    if let (Some(tb), Some(tl)) = (sb.mean_ttd_ms, sl.mean_ttd_ms) {
-        assert!((tb - tl).abs() < 1e-9);
-    }
+    assert_eq!(sb, sl);
     assert!(sb.f1 > 0.9, "the DDoS wave must actually be caught (F1 {})", sb.f1);
 }
