@@ -128,17 +128,18 @@ fn demo_exercise_both_dialects(addr: std::net::SocketAddr) -> Result<(), String>
     let mut json_reader =
         BufReader::new(json_stream.try_clone().map_err(|e| e.to_string())?);
     let mut json_writer = json_stream;
-    let line = serde_json::to_string(&req).map_err(|e| e.to_string())?;
-    json_writer
-        .write_all(line.as_bytes())
-        .and_then(|()| json_writer.write_all(b"\n"))
-        .map_err(|e| e.to_string())?;
+    json_writer.set_nodelay(true).map_err(|e| e.to_string())?;
+    // Line and newline in one write: a newline sent on its own waits
+    // (Nagle) for the server's delayed ACK of the line.
+    let line = serde_json::to_string(&req).map_err(|e| e.to_string())? + "\n";
+    json_writer.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
     let mut reply = String::new();
     json_reader.read_line(&mut reply).map_err(|e| e.to_string())?;
     let json_resp: Response = serde_json::from_str(&reply).map_err(|e| e.to_string())?;
 
     // Dialect 2: cdipack frames behind the wire magic.
     let mut pack_stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
+    pack_stream.set_nodelay(true).map_err(|e| e.to_string())?;
     pack_stream.write_all(&cdipack::WIRE_MAGIC).map_err(|e| e.to_string())?;
     cdipack::write_frame(&mut pack_stream, &cdipack::encode_request(&req))
         .map_err(|e| e.to_string())?;

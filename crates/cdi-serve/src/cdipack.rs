@@ -139,12 +139,14 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response> {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Write one varint-length-prefixed frame.
+/// Write one varint-length-prefixed frame, prefix and payload in a single
+/// `write`: on a socket a prefix sent on its own leaves the payload
+/// waiting (Nagle) for the peer's delayed ACK, 40 ms per frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let mut header = PackWriter::with_capacity(10);
-    header.put_varint(as_u64(payload.len()));
-    w.write_all(header.as_slice())?;
-    w.write_all(payload)?;
+    let mut frame = PackWriter::with_capacity(10 + payload.len());
+    frame.put_varint(as_u64(payload.len()));
+    frame.put_bytes(payload);
+    w.write_all(frame.as_slice())?;
     w.flush()
 }
 
@@ -784,6 +786,33 @@ impl Pack for ShardDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts the `write` calls that reach it.
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_whatever_its_size() {
+        for payload in [vec![], b"hello".to_vec(), vec![0xAB; (64 << 10) + 1]] {
+            let mut w = Counting { writes: 0, bytes: Vec::new() };
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{} payload bytes", payload.len());
+            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap().unwrap(), payload);
+        }
+    }
 
     #[test]
     fn frames_round_trip_and_reject_oversize() {

@@ -8,7 +8,7 @@
 //! always consistent with the per-VM answers at the same watermark.
 
 use cdi_core::error::Result;
-use cdi_core::indicator::{aggregate, CdiBreakdown, VmCdi};
+use cdi_core::indicator::{aggregate, CdiBreakdown};
 use simfleet::{Fleet, Scope};
 
 use crate::service::CdiService;
@@ -31,8 +31,6 @@ pub struct Rollup {
 /// matching `cdi_core::indicator::aggregate`) or if no service time has
 /// elapsed yet.
 pub fn rollup(service: &CdiService, fleet: &Fleet, scope: &Scope) -> Result<Rollup> {
-    let vms = fleet.vms_in(scope);
-    let rows: Vec<VmCdi> =
-        vms.iter().map(|&vm| service.vm_row(vm)).collect::<Result<Vec<_>>>()?;
+    let rows = service.vm_rows(&fleet.vms_in(scope))?;
     Ok(Rollup { scope: scope.clone(), vm_count: rows.len(), breakdown: aggregate(&rows)? })
 }

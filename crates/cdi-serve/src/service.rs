@@ -427,6 +427,28 @@ impl CdiService {
         pool[shard_index(Target::Vm(vm), pool.len())].with_state(|st| st.vm_row(vm))
     }
 
+    /// [`CdiService::vm_row`] for each of `vms`, in their order, under one
+    /// pool read guard and one state lock per shard — what a rollup over
+    /// thousands of VMs reads.
+    pub fn vm_rows(&self, vms: &[u64]) -> Result<Vec<VmCdi>> {
+        let pool = self.rd();
+        let home: Vec<usize> =
+            vms.iter().map(|&vm| shard_index(Target::Vm(vm), pool.len())).collect();
+        let mut rows: Vec<Option<VmCdi>> = vec![None; vms.len()];
+        for (s, shard) in pool.iter().enumerate() {
+            shard.with_state(|st| -> Result<()> {
+                for (i, &vm) in vms.iter().enumerate() {
+                    if home[i] == s {
+                        rows[i] = Some(st.vm_row(vm)?);
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        // Every VM has exactly one home shard, so no row is missing.
+        Ok(rows.into_iter().flatten().collect())
+    }
+
     /// Damage (µ-weight·ms) frozen so far for one target, per category;
     /// all zero if never seen ([`ShardState::damage`]).
     pub fn damage(&self, target: Target) -> [u64; 3] {

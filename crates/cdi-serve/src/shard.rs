@@ -40,7 +40,8 @@
 //! not O(total state) — measured per respawn in
 //! [`LifecycleEvent::ShardRespawned`].
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, PoisonError};
 use std::thread::JoinHandle;
@@ -57,6 +58,7 @@ use serde::{Deserialize, Serialize};
 use crate::cdipack::{self, Pack, ShardDelta};
 use crate::metrics::{LifecycleEvent, ServiceMetrics};
 use crate::queue::BoundedQueue;
+use crate::topk::Ranked;
 use crate::tracked::{TrackedCondvar, TrackedMutex};
 
 /// A message on a shard's ingest queue.
@@ -310,13 +312,21 @@ impl ShardState {
     /// descending, ties broken by target order. The per-shard half of the
     /// service's top-K (merged across shards in [`crate::topk`]).
     pub fn top_k(&self, k: usize, category: Category) -> Result<Vec<(Target, f64)>> {
-        let mut rows = Vec::with_capacity(self.targets.len());
+        let k = k.min(self.targets.len());
+        // One pass, keeping the `k` best seen in a heap whose top is the
+        // worst-ranked of them.
+        let mut kept = BinaryHeap::with_capacity(k);
         for (&target, accs) in &self.targets {
-            rows.push((target, accs[category.index()].cdi()?));
+            let row = Reverse(Ranked { score: accs[category.index()].cdi()?, target });
+            if kept.len() < k {
+                kept.push(row);
+            } else if let Some(mut worst) = kept.peek_mut() {
+                if row < *worst {
+                    *worst = row;
+                }
+            }
         }
-        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows.truncate(k);
-        Ok(rows)
+        Ok(kept.into_sorted_vec().into_iter().map(|Reverse(r)| (r.target, r.score)).collect())
     }
 
     /// A [`VmCdi`] row for one VM target this shard tracks, in the exact

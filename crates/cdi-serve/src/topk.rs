@@ -6,63 +6,57 @@
 //! of re-sorting the concatenation, which is what the `topk_merge` bench
 //! measures against fleet size.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use cdi_core::event::Target;
 
-/// One list head inside the merge heap: orders by score descending, then
-/// target ascending (the same total order the shards sort by), then list
-/// index for full determinism.
-#[derive(Debug)]
-struct Head {
-    score: f64,
-    target: Target,
-    list: usize,
-    pos: usize,
+/// The one top-K order, shared by the shards' select and the merge:
+/// `a > b` when `a` ranks first — higher score by `total_cmp`, ties to the
+/// smaller target.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ranked {
+    pub(crate) score: f64,
+    pub(crate) target: Target,
 }
 
-impl PartialEq for Head {
+impl PartialEq for Ranked {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for Head {}
+impl Eq for Ranked {}
 
-impl PartialOrd for Head {
+impl PartialOrd for Ranked {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Head {
+impl Ord for Ranked {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: "greater" must mean "merges first",
-        // i.e. higher score, then smaller target.
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| other.target.cmp(&self.target))
-            .then_with(|| other.list.cmp(&self.list))
+        self.score.total_cmp(&other.score).then_with(|| other.target.cmp(&self.target))
     }
 }
 
 /// Merge descending-sorted `(target, score)` lists into the global top
 /// `k`, preserving the shards' order: score descending, ties by target.
 pub fn merge_top_k(lists: &[Vec<(Target, f64)>], k: usize) -> Vec<(Target, f64)> {
+    // A max-heap of list heads: rank, then the lower list index for full
+    // determinism, then the head's position in its list.
     let mut heap = BinaryHeap::with_capacity(lists.len());
     for (li, list) in lists.iter().enumerate() {
         if let Some(&(target, score)) = list.first() {
-            heap.push(Head { score, target, list: li, pos: 0 });
+            heap.push((Ranked { score, target }, Reverse(li), 0));
         }
     }
-    let mut out = Vec::with_capacity(k);
+    let mut out = Vec::with_capacity(k.min(lists.iter().map(Vec::len).sum()));
     while out.len() < k {
-        let Some(head) = heap.pop() else { break };
+        let Some((head, Reverse(li), pos)) = heap.pop() else { break };
         out.push((head.target, head.score));
-        let next = head.pos + 1;
-        if let Some(&(target, score)) = lists[head.list].get(next) {
-            heap.push(Head { score, target, list: head.list, pos: next });
+        if let Some(&(target, score)) = lists[li].get(pos + 1) {
+            heap.push((Ranked { score, target }, Reverse(li), pos + 1));
         }
     }
     out
