@@ -1,45 +1,29 @@
-//! The SLO-driven chaos drill for `cdi-serve` (`experiments drill`).
+//! The chaos drill for `cdi-serve` (`experiments drill`).
 //!
-//! Four probes, all recorded into `BENCH_PR6.json`:
+//! Two probes:
 //!
-//! - **SLO ramp**: producer count doubles (1, 2, 4, 8, 16) against a
-//!   fixed pool until a declared SLO breaks — p99 ingest admission
-//!   latency (the time one `ingest` call spends blocked on admission and
-//!   queue push) or watermark staleness (coordinator watermark minus the
-//!   minimum shard-applied watermark, i.e. how far the slowest shard lags
-//!   the stream in simulated time).
 //! - **Chaos agreement**: the correctness gate. A run that is grown
 //!   3 → 6 shards, has a seeded-random shard killed, is rolled
 //!   shard-by-shard, and is shrunk 6 → 2 — all while three producers
 //!   keep writing — must equal an uninterrupted fixed-shard run's
 //!   per-target CDI on every indicator (damage is an integer sum, so the
 //!   delta is exactly zero or the protocol lost a span).
-//! - **Resize overhead**: wall-clock cost of the same ingest workload
-//!   with live resizes firing mid-stream vs. an undisturbed run — the
-//!   price of the fence protocol under sustained load.
 //! - **Autoscale drill**: heavy and light load waves against
 //!   [`AutoScalerPolicy`], resizing on each wave's queue-depth
 //!   high-water mark — records the shard-count trajectory.
 //!
 //! The drill is seeded: the killed shard, span weights, and categories
-//! are all functions of `--seed`. Wall-clock numbers vary run to run;
-//! the agreement gate does not.
+//! are all functions of `--seed`. The autoscale trajectory depends on
+//! thread scheduling; the agreement gate does not.
 
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
 
 use cdi_core::event::{Category, EventSpan, Target};
 use cdi_serve::{AutoScalerPolicy, BackpressurePolicy, CdiService, ServeConfig};
-use serde::Serialize;
 
 const MIN: i64 = 60_000;
 /// Distinct VM targets in the synthetic stream.
 const TARGETS: u64 = 256;
-
-/// SLO: p99 ingest admission latency, microseconds.
-const SLO_P99_INGEST_US: f64 = 500.0;
-/// SLO: watermark staleness, simulated milliseconds.
-const SLO_STALENESS_MS: i64 = 5 * MIN;
 
 /// SplitMix64 — the drill's only randomness, fully determined by the seed.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -75,130 +59,9 @@ fn service(shards: usize, queue_capacity: usize) -> CdiService {
     CdiService::new(cfg).unwrap_or_else(|e| unreachable!("static config is valid: {e}"))
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// One step of the producer ramp.
-#[derive(Debug, Clone, Serialize)]
-pub struct SloRampStep {
-    /// Concurrent producer threads this step.
-    pub producers: usize,
-    /// Span deliveries this step.
-    pub spans: u64,
-    /// Median ingest admission latency, microseconds.
-    pub p50_ingest_us: f64,
-    /// 99th-percentile ingest admission latency, microseconds.
-    pub p99_ingest_us: f64,
-    /// Worst watermark staleness observed mid-load, simulated ms.
-    pub staleness_ms: i64,
-    /// Queue-depth high-water mark across the pool for this step.
-    pub queue_hwm: u64,
-    /// Did this step break an SLO?
-    pub breached: bool,
-}
-
-/// The producer ramp: load doubles until an SLO breaks.
-#[derive(Debug, Clone, Serialize)]
-pub struct SloRamp {
-    /// Declared p99 ingest-latency SLO, microseconds.
-    pub slo_p99_ingest_us: f64,
-    /// Declared watermark-staleness SLO, simulated ms.
-    pub slo_staleness_ms: i64,
-    /// Shards in the fixed pool under test.
-    pub shards: usize,
-    /// One record per ramp step, in order.
-    pub steps: Vec<SloRampStep>,
-    /// Producer count of the first breaching step (`None` if the ramp
-    /// completed inside SLO).
-    pub breach_producers: Option<usize>,
-}
-
-/// Run one ramp step: `producers` threads deliver `cycles` waves over
-/// disjoint target slices while the coordinator advances the watermark
-/// and samples staleness.
-fn ramp_step(producers: usize, cycles: i64, shards: usize) -> SloRampStep {
-    let svc = Arc::new(service(shards, 128));
-    let handles: Vec<_> = (0..producers)
-        .map(|p| {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                let mut lat = Vec::with_capacity(cycles as usize * 32);
-                for c in 0..cycles {
-                    for t in (p as u64..TARGETS).step_by(producers) {
-                        let span = wave_span(0, t, c);
-                        let at = Instant::now();
-                        svc.ingest(Target::Vm(t), span);
-                        lat.push(at.elapsed().as_secs_f64() * 1e6);
-                    }
-                }
-                lat
-            })
-        })
-        .collect();
-
-    // Coordinator: pace the watermark through the waves and watch how far
-    // the slowest shard lags it while producers are writing.
-    let mut staleness_ms = 0i64;
-    let mut c = 0i64;
-    while handles.iter().any(|h| !h.is_finished()) {
-        if c < cycles {
-            c += 1;
-            let _ = svc.advance_watermark(c * MIN);
-        }
-        staleness_ms = staleness_ms.max(svc.watermark() - svc.min_applied_watermark());
-        std::thread::yield_now();
-    }
-    let mut lat: Vec<f64> = handles.into_iter().flat_map(|h| h.join().unwrap_or_default()).collect();
-    let _ = svc.advance_watermark(cycles * MIN);
-    svc.flush();
-    lat.sort_by(f64::total_cmp);
-    let (p50, p99) = (percentile(&lat, 0.50), percentile(&lat, 0.99));
-    SloRampStep {
-        producers,
-        spans: lat.len() as u64,
-        p50_ingest_us: p50,
-        p99_ingest_us: p99,
-        staleness_ms,
-        queue_hwm: svc.take_queue_hwm(),
-        breached: p99 > SLO_P99_INGEST_US || staleness_ms > SLO_STALENESS_MS,
-    }
-}
-
-fn slo_ramp(quick: bool) -> SloRamp {
-    let cycles: i64 = if quick { 30 } else { 150 };
-    let shards = 4;
-    let mut steps = Vec::new();
-    let mut breach = None;
-    for &producers in &[1usize, 2, 4, 8, 16] {
-        let step = ramp_step(producers, cycles, shards);
-        let breached = step.breached;
-        steps.push(step);
-        if breached {
-            breach = Some(producers);
-            break;
-        }
-    }
-    SloRamp {
-        slo_p99_ingest_us: SLO_P99_INGEST_US,
-        slo_staleness_ms: SLO_STALENESS_MS,
-        shards,
-        steps,
-        breach_producers: breach,
-    }
-}
-
 /// The correctness gate: chaos run vs. uninterrupted run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosAgreement {
-    /// Span deliveries in each run.
-    pub spans: u64,
-    /// Concurrent producers in the chaos run.
-    pub producers: usize,
     /// Shard counts the chaos run moved through.
     pub shard_path: Vec<usize>,
     /// Seeded-random shards killed mid-load.
@@ -305,8 +168,6 @@ fn chaos_agreement(seed: u64, quick: bool) -> ChaosAgreement {
         eprintln!("chaos drill: {v}");
     }
     ChaosAgreement {
-        spans: TARGETS * cycles as u64,
-        producers,
         shard_path,
         kills: m.shard_kills,
         respawns: m.shard_respawns,
@@ -317,98 +178,11 @@ fn chaos_agreement(seed: u64, quick: bool) -> ChaosAgreement {
     }
 }
 
-/// Wall-clock cost of live resizes under sustained ingest.
-#[derive(Debug, Clone, Serialize)]
-pub struct ResizeOverhead {
-    /// Span deliveries per run.
-    pub spans: u64,
-    /// Concurrent producers.
-    pub producers: usize,
-    /// Live resizes fired during the disturbed run.
-    pub resizes: u64,
-    /// Undisturbed run, seconds.
-    pub steady_secs: f64,
-    /// Same workload with resizes mid-stream, seconds.
-    pub resized_secs: f64,
-    /// `resized_secs / steady_secs` — the fence-protocol tax.
-    pub overhead_ratio: f64,
-}
-
-/// Run the overhead workload once; `resize_between` alternates the pool
-/// 4 → 8 → 4 → … once per ingest quartile when set.
-fn overhead_run(cycles: i64, resize_between: bool) -> (f64, u64) {
-    let producers = 4usize;
-    let svc = Arc::new(service(4, 256));
-    let total_spans = TARGETS * cycles as u64;
-    let t = Instant::now();
-    let handles: Vec<_> = (0..producers)
-        .map(|p| {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                for c in 0..cycles {
-                    for t in (p as u64..TARGETS).step_by(producers) {
-                        svc.ingest(Target::Vm(t), wave_span(1, t, c));
-                    }
-                }
-            })
-        })
-        .collect();
-    let mut resizes = 0u64;
-    if resize_between {
-        let mut next = total_spans / 8;
-        let mut to = 8usize;
-        while handles.iter().any(|h| !h.is_finished()) {
-            if svc.spans_ingested() >= next {
-                if svc.resize(to).is_ok() {
-                    resizes += 1;
-                }
-                to = if to == 8 { 4 } else { 8 };
-                next += total_spans / 8;
-            }
-            std::thread::yield_now();
-        }
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    let _ = svc.advance_watermark(cycles * MIN);
-    svc.flush();
-    (t.elapsed().as_secs_f64(), resizes)
-}
-
-fn resize_overhead(quick: bool) -> ResizeOverhead {
-    let cycles: i64 = if quick { 60 } else { 300 };
-    let iters = if quick { 1 } else { 3 };
-    let mut steady = f64::INFINITY;
-    let mut resized = f64::INFINITY;
-    let mut resizes = 0;
-    for _ in 0..iters {
-        steady = steady.min(overhead_run(cycles, false).0);
-        let (secs, n) = overhead_run(cycles, true);
-        if secs < resized {
-            resized = secs;
-            resizes = n;
-        }
-    }
-    ResizeOverhead {
-        spans: TARGETS * cycles as u64,
-        producers: 4,
-        resizes,
-        steady_secs: steady,
-        resized_secs: resized,
-        overhead_ratio: resized / steady,
-    }
-}
-
 /// One autoscaler wave: load, observe, maybe resize.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AutoscaleStep {
     /// Wave index.
     pub wave: usize,
-    /// `"heavy"` (8 bursty producers) or `"light"` (1 trickle producer).
-    pub load: String,
-    /// Queue-depth high-water mark the wave left behind.
-    pub queue_hwm: u64,
     /// Shard count entering the wave.
     pub shards_before: usize,
     /// Shard count after the policy's verdict (same as before on hold).
@@ -417,10 +191,8 @@ pub struct AutoscaleStep {
 
 /// The autoscale drill: the policy's shard-count trajectory under a
 /// heavy-then-light load profile.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AutoscaleDrill {
-    /// The policy under test.
-    pub policy: AutoScalerPolicy,
     /// One record per wave.
     pub steps: Vec<AutoscaleStep>,
     /// Highest shard count reached.
@@ -475,90 +247,24 @@ fn autoscale_drill(quick: bool) -> AutoscaleDrill {
         }
         let after = svc.shard_count();
         peak = peak.max(after);
-        steps.push(AutoscaleStep {
-            wave,
-            load: if heavy { "heavy".into() } else { "light".into() },
-            queue_hwm: hwm,
-            shards_before: before,
-            shards_after: after,
-        });
+        steps.push(AutoscaleStep { wave, shards_before: before, shards_after: after });
     }
     let final_shards = svc.shard_count();
-    AutoscaleDrill { policy, steps, peak_shards: peak, final_shards }
-}
-
-/// The pass/fail summary at the head of `BENCH_PR6.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct DrillGate {
-    /// What the gate demands.
-    pub target: String,
-    /// Largest per-target CDI delta of the chaos run.
-    pub chaos_max_cdi_delta: f64,
-    /// Producer count that first broke an SLO (`None` = ramp completed).
-    pub slo_breach_producers: Option<usize>,
-    /// Live-resize wall-clock tax.
-    pub resize_overhead_ratio: f64,
-    /// The chaos agreement verdict — the only hard gate.
-    pub passed: bool,
+    AutoscaleDrill { steps, peak_shards: peak, final_shards }
 }
 
 /// Everything one drill run measured.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DrillReport {
-    /// PR number this benchmark file belongs to.
-    pub pr: u32,
-    /// Human title.
-    pub title: String,
-    /// How the numbers were produced.
-    pub harness: String,
-    /// Seed that determined kills, weights, and categories.
-    pub seed: u64,
-    /// Quick (CI) mode?
-    pub quick: bool,
-    /// The pass/fail summary.
-    pub gate: DrillGate,
-    /// Producer ramp until SLO breach.
-    pub slo_ramp: SloRamp,
-    /// The correctness gate run.
+    /// The correctness gate run; its verdict is the drill's only hard gate.
     pub chaos_agreement: ChaosAgreement,
-    /// Fence-protocol cost under load.
-    pub resize_overhead: ResizeOverhead,
     /// Policy-driven shard-count trajectory.
     pub autoscale: AutoscaleDrill,
 }
 
 /// Run the full drill.
 pub fn run(seed: u64, quick: bool) -> DrillReport {
-    let slo = slo_ramp(quick);
-    let chaos = chaos_agreement(seed, quick);
-    let overhead = resize_overhead(quick);
-    let autoscale = autoscale_drill(quick);
-    let gate = DrillGate {
-        target: "resize-under-load (grow, seeded kill, roll, shrink) equals the fixed-shard run"
-            .into(),
-        chaos_max_cdi_delta: chaos.max_cdi_delta,
-        slo_breach_producers: slo.breach_producers,
-        resize_overhead_ratio: overhead.overhead_ratio,
-        passed: chaos.passed,
-    };
-    DrillReport {
-        pr: 6,
-        title: "cdi-serve: online elastic re-sharding, shard lifecycle, and chaos drills".into(),
-        harness: format!(
-            "experiments drill --seed {seed}{} ({} targets; SLO p99 ingest {} us, staleness {} ms)",
-            if quick { " --quick" } else { "" },
-            TARGETS,
-            SLO_P99_INGEST_US,
-            SLO_STALENESS_MS,
-        ),
-        seed,
-        quick,
-        gate,
-        slo_ramp: slo,
-        chaos_agreement: chaos,
-        resize_overhead: overhead,
-        autoscale,
-    }
+    DrillReport { chaos_agreement: chaos_agreement(seed, quick), autoscale: autoscale_drill(quick) }
 }
 
 #[cfg(test)]

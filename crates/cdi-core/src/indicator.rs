@@ -4,10 +4,10 @@
 //! of the **max-weight envelope** of its event spans, normalized by the
 //! service time. The paper presents it as a per-time-unit array update; this
 //! implementation uses an equivalent `O(n log n)` sweep line (exact for the
-//! piecewise-constant envelope), with the literal array version retained as
-//! [`cdi_naive`] for the ablation benchmark and cross-checking. The
-//! integral is carried as an integer ([`damage`], µ-weight·ms) and divided
-//! once, by `num::damage_ratio`.
+//! piecewise-constant envelope); the literal array version lives in
+//! `tests/proptests.rs` as its independent oracle. The integral is carried
+//! as an integer ([`damage`], µ-weight·ms) and divided once, by
+//! `num::damage_ratio`.
 //!
 //! Formula 4 aggregates VM-level CDIs into fleet-level values weighted by
 //! service time; [`aggregate`] implements it, and the BI layer in
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{CdiError, Result};
 use crate::event::{Category, EventSpan};
-use crate::num::{damage_ratio, index_of, ms_f64, quantize_weight};
+use crate::num::{damage_ratio, ms_f64, quantize_weight};
 use crate::time::{TimeRange, Timestamp};
 
 /// A validated service period `[start, end)` with positive duration.
@@ -122,33 +122,6 @@ pub fn damage(spans: &[EventSpan], period: ServicePeriod) -> Result<u64> {
         }
     }
     Ok(integral)
-}
-
-/// Literal Algorithm 1: a per-timestep array of max weights.
-///
-/// `step_ms` is the array resolution (Δt); the result is exact whenever all
-/// span and period boundaries are multiples of `step_ms` and otherwise a
-/// discretization of the integral. Retained as the ablation baseline for
-/// the sweep-line implementation — it is `O(T/Δt + n·d/Δt)` in time and
-/// `O(T/Δt)` in memory — and sums the same µ-weights, so on aligned data
-/// it equals [`cdi`] exactly.
-pub fn cdi_naive(spans: &[EventSpan], period: ServicePeriod, step_ms: i64) -> Result<f64> {
-    if step_ms <= 0 {
-        return Err(CdiError::invalid("step_ms must be positive"));
-    }
-    let range = period.range();
-    let steps = index_of((range.duration() + step_ms - 1) / step_ms);
-    let mut w = vec![0u64; steps];
-    for s in spans {
-        let Some((r, micro)) = clipped(s, &range)? else { continue };
-        let first = index_of((r.start - range.start) / step_ms);
-        let last = index_of((r.end - range.start + step_ms - 1) / step_ms);
-        for slot in &mut w[first..last.min(steps)] {
-            *slot = (*slot).max(micro);
-        }
-    }
-    let total = w.iter().try_fold(0u64, |acc, &micro| add_damage(acc, micro, step_ms))?;
-    Ok(damage_ratio(total, range.duration()))
 }
 
 /// The three sub-metrics plus service time for one VM — one row of the
@@ -379,28 +352,6 @@ mod tests {
         let spans = vec![perf("a", 0, 5, 0.0), perf("b", 3, 3, 0.9)];
         let period = ServicePeriod::new(0, minutes(10)).unwrap();
         assert_eq!(cdi(&spans, period).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn naive_matches_sweep_on_minute_aligned_data() {
-        let spans = vec![
-            perf("slow_io", 488, 490, 0.5),
-            perf("slow_io", 490, 492, 0.5),
-            perf("vcpu_high", 490, 495, 0.6),
-            perf("packet_loss", 0, 3, 0.3),
-            perf("gpu_drop", 493, 600, 0.9),
-        ];
-        let period = ServicePeriod::new(0, minutes(1000)).unwrap();
-        let fast = cdi(&spans, period).unwrap();
-        let slow = cdi_naive(&spans, period, minutes(1)).unwrap();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn naive_rejects_bad_step() {
-        let period = ServicePeriod::new(0, minutes(10)).unwrap();
-        assert!(cdi_naive(&[], period, 0).is_err());
-        assert!(cdi_naive(&[], period, -5).is_err());
     }
 
     #[test]

@@ -1,10 +1,71 @@
 //! Property-based tests for the CDI core invariants.
 
+use cdi_core::error::{CdiError, Result};
 use cdi_core::event::{Category, EventSpan};
-use cdi_core::indicator::{aggregate, cdi, cdi_naive, ServicePeriod, VmCdi};
+use cdi_core::indicator::{aggregate, cdi, ServicePeriod, VmCdi};
+use cdi_core::num::{damage_ratio, index_of, quantize_weight};
 use cdi_core::streaming::CdiAccumulator;
-use cdi_core::time::minutes;
+use cdi_core::time::{minutes, TimeRange};
 use proptest::prelude::*;
+
+/// Literal Algorithm 1: a per-timestep array of max weights — the sweep
+/// line's independent oracle.
+///
+/// `step_ms` is the array resolution (Δt); the result is exact whenever all
+/// span and period boundaries are multiples of `step_ms` and otherwise a
+/// discretization of the integral. It is `O(T/Δt + n·d/Δt)` in time and
+/// `O(T/Δt)` in memory, and sums the same µ-weights, so on aligned data it
+/// equals [`cdi`] exactly.
+fn cdi_naive(spans: &[EventSpan], period: ServicePeriod, step_ms: i64) -> Result<f64> {
+    if step_ms <= 0 {
+        return Err(CdiError::invalid("step_ms must be positive"));
+    }
+    let range = period.range();
+    let steps = index_of((range.duration() + step_ms - 1) / step_ms);
+    let mut w = vec![0u64; steps];
+    for s in spans {
+        let micro = quantize_weight(s.weight)?;
+        let span = TimeRange::new(s.start, s.end.max(s.start));
+        let Some(r) = range.intersect(&span).filter(|_| micro > 0) else { continue };
+        let first = index_of((r.start - range.start) / step_ms);
+        let last = index_of((r.end - range.start + step_ms - 1) / step_ms);
+        for slot in &mut w[first..last.min(steps)] {
+            *slot = (*slot).max(micro);
+        }
+    }
+    let step = step_ms.unsigned_abs();
+    let total = w
+        .iter()
+        .try_fold(0u64, |acc, &micro| micro.checked_mul(step).and_then(|d| acc.checked_add(d)))
+        .ok_or_else(|| CdiError::Overflow("naive damage integral".into()))?;
+    Ok(damage_ratio(total, range.duration()))
+}
+
+fn perf(name: &str, s: i64, e: i64, w: f64) -> EventSpan {
+    EventSpan::new(name, Category::Performance, minutes(s), minutes(e), w)
+}
+
+#[test]
+fn naive_matches_sweep_on_minute_aligned_data() {
+    let spans = vec![
+        perf("slow_io", 488, 490, 0.5),
+        perf("slow_io", 490, 492, 0.5),
+        perf("vcpu_high", 490, 495, 0.6),
+        perf("packet_loss", 0, 3, 0.3),
+        perf("gpu_drop", 493, 600, 0.9),
+    ];
+    let period = ServicePeriod::new(0, minutes(1000)).unwrap();
+    let fast = cdi(&spans, period).unwrap();
+    let slow = cdi_naive(&spans, period, minutes(1)).unwrap();
+    assert_eq!(fast, slow);
+}
+
+#[test]
+fn naive_rejects_bad_step() {
+    let period = ServicePeriod::new(0, minutes(10)).unwrap();
+    assert!(cdi_naive(&[], period, 0).is_err());
+    assert!(cdi_naive(&[], period, -5).is_err());
+}
 
 /// Strategy: a span with minute-aligned boundaries inside [0, 600) minutes
 /// and a weight drawn from a small grid (so naive/sweep equality is exact).

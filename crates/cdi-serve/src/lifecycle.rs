@@ -205,7 +205,7 @@ impl AdmissionGate {
 /// below `shrink_depth`, clamped to `[min_shards, max_shards]`. Doubling
 /// (instead of +1) matches the hash routing: halving/doubling moves the
 /// fewest targets for power-of-two pools and converges in O(log n) steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AutoScalerPolicy {
     /// Never scale below this many shards.
     pub min_shards: usize,

@@ -484,18 +484,6 @@ impl CdiService {
         t
     }
 
-    /// The earliest watermark any shard has actually *applied* — the
-    /// freshness floor of every query answer. The gap to
-    /// [`CdiService::watermark`] is the service's staleness, the SLO the
-    /// chaos drill watches.
-    pub fn min_applied_watermark(&self) -> Timestamp {
-        self.rd()
-            .iter()
-            .map(|s| s.with_state(|st| st.watermark()))
-            .min()
-            .unwrap_or(self.cfg.period_start)
-    }
-
     /// Read-and-reset the worst per-shard queue high-water mark — the
     /// auto-scaler's sampling primitive: each call sees the deepest any
     /// queue has been since the previous call.
@@ -736,11 +724,5 @@ impl CdiService {
                 shard.queue.resume();
             }
         }
-    }
-
-    /// Snapshot of one internal counter for tests: total spans accepted.
-    pub fn spans_ingested(&self) -> u64 {
-        // ordering: point-in-time statistic read for tests
-        self.metrics.spans_ingested.load(Ordering::Relaxed)
     }
 }

@@ -20,16 +20,11 @@
 //!   resolution, ordered execution against the fleet.
 //! - [`tickets`] — the ticket classifier feeding Fig. 2 and the Eq. 2
 //!   customer weights.
-//! - [`optimize`] — Section VIII-C: CDI-weight-driven action prioritization
-//!   and severity-proportionate action selection.
-//! - [`abassign`] — §VI-D's randomized trial assignment with a predefined
-//!   probability distribution (seeded for replayability).
+//! - [`optimize`] — Section VIII-C: CDI-weight-driven action prioritization.
 //! - [`surge`] — §II-F's event-surge alerting against batches of missing
 //!   operations (multi-customer surges page engineers immediately).
 //! - [`mining`] — §II-D's FP-growth association mining over event
 //!   co-occurrence, for discovering candidate operation rules.
-//! - [`noise`] — §II-F's meta-information noise reduction (expected events
-//!   on shared VMs trigger no operations but still count toward CDI).
 //! - [`predict`] — the `nc_down_prediction` scorer driving Case 8.
 //! - [`pipeline`] — end-to-end glue: world + day → events → weighted spans →
 //!   per-VM CDI rows, the equivalent of the paper's daily Spark job.
@@ -40,12 +35,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod abassign;
 pub mod collector;
 pub mod extractor;
 pub mod feed;
 pub mod mining;
-pub mod noise;
 pub mod ops;
 pub mod optimize;
 pub mod pipeline;

@@ -3,15 +3,13 @@
 //! The CDI's components are reusable *prospectively*: event weights rank
 //! which VM's migration buys the most stability ("the system would give
 //! precedence to the VM with higher event weights, as its migration would
-//! more positively influence overall CDI"), and issue severity selects the
-//! proportionate action ("low-severity issues might result in a ticket
-//! being filed, while high-severity issues could trigger immediate actions
-//! such as VM migration"). The paper designates both as future work; this
-//! module implements them on top of the existing Operation Platform.
+//! more positively influence overall CDI"). The paper designates this as
+//! future work; this module implements it on top of the existing Operation
+//! Platform.
 
-use cdi_core::event::{EventSpan, Severity, Target};
+use cdi_core::event::{EventSpan, Target};
 
-use crate::ops::{ActionKind, ActionRequest};
+use crate::ops::ActionRequest;
 
 /// Expected CDI relief of acting on a target now: the current max active
 /// weight times the remaining damage time, summed over the target's open
@@ -48,24 +46,10 @@ pub fn prioritize_by_damage<'a>(
     decorated.into_iter().map(|(_, _, r)| r).collect()
 }
 
-/// Pick the proportionate action for an issue of the given severity:
-/// warnings file a ticket, errors repair in place, critical issues live
-/// migrate, and fatal issues cold-migrate (the VM is down anyway) and lock
-/// the host.
-pub fn actions_for_severity(severity: Severity) -> Vec<ActionKind> {
-    match severity {
-        Severity::Warning => vec![ActionKind::RepairRequest],
-        Severity::Error => vec![ActionKind::ProcessRepair, ActionKind::RepairRequest],
-        Severity::Critical => vec![ActionKind::LiveMigrate, ActionKind::RepairRequest],
-        Severity::Fatal => {
-            vec![ActionKind::NcLock, ActionKind::ColdMigrate, ActionKind::RepairRequest]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::ActionKind;
     use cdi_core::event::Category;
     use cdi_core::time::minutes;
 
@@ -119,18 +103,5 @@ mod tests {
         let ordered = prioritize_by_damage(requests, 0, spans_of);
         let targets: Vec<Target> = ordered.iter().map(|r| r.target).collect();
         assert_eq!(targets, vec![Target::Vm(9), Target::Vm(3), Target::Vm(7)]);
-    }
-
-    #[test]
-    fn severity_maps_to_proportionate_actions() {
-        assert_eq!(actions_for_severity(Severity::Warning), vec![ActionKind::RepairRequest]);
-        assert!(actions_for_severity(Severity::Critical).contains(&ActionKind::LiveMigrate));
-        let fatal = actions_for_severity(Severity::Fatal);
-        assert!(fatal.contains(&ActionKind::NcLock));
-        assert!(fatal.contains(&ActionKind::ColdMigrate));
-        assert!(
-            !actions_for_severity(Severity::Warning).contains(&ActionKind::LiveMigrate),
-            "warnings never disrupt the VM"
-        );
     }
 }

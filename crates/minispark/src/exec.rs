@@ -203,11 +203,6 @@ impl ExecContext {
         self.threads
     }
 
-    /// The per-task retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Run one task with panic isolation and bounded retries.
     fn run_task<R>(&self, i: usize, f: &(impl Fn(usize) -> R + Sync)) -> Result<R, TaskError> {
         let mut attempt = 1u32;

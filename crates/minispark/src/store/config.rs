@@ -6,8 +6,8 @@
 //! every historical version so a CDI recomputation for a past day can use
 //! the configuration that was active then.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock};
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -40,7 +40,7 @@ impl ConfigStore {
     /// Write a new version of `key`, returning the version number.
     pub fn put<T: Serialize>(&self, key: &str, updated_at: i64, value: &T) -> Result<u64> {
         let payload = serde_json::to_value(value)?;
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let versions = inner.entry(key.to_string()).or_default();
         let version = versions.len() as u64 + 1;
         versions.push(ConfigVersion { version, updated_at, payload });
@@ -49,7 +49,7 @@ impl ConfigStore {
 
     /// Read the latest version of `key`.
     pub fn get<T: DeserializeOwned>(&self, key: &str) -> Result<T> {
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let versions = inner
             .get(key)
             .ok_or_else(|| SparkError::invalid(format!("unknown config key '{key}'")))?;
@@ -63,7 +63,7 @@ impl ConfigStore {
     /// Read the version of `key` that was active at `at` (the newest version
     /// with `updated_at <= at`).
     pub fn get_as_of<T: DeserializeOwned>(&self, key: &str, at: i64) -> Result<T> {
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let versions = inner
             .get(key)
             .ok_or_else(|| SparkError::invalid(format!("unknown config key '{key}'")))?;
@@ -79,12 +79,14 @@ impl ConfigStore {
 
     /// Full version history of a key (empty if unknown).
     pub fn history(&self, key: &str) -> Vec<ConfigVersion> {
-        self.inner.read().get(key).cloned().unwrap_or_default()
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        inner.get(key).cloned().unwrap_or_default()
     }
 
     /// All keys, sorted.
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.inner.read().keys().cloned().collect();
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let mut keys: Vec<String> = inner.keys().cloned().collect();
         keys.sort();
         keys
     }

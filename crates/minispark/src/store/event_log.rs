@@ -5,8 +5,8 @@
 //! the two operations that workflow needs: concurrent appends and efficient
 //! time-range scans, plus a drain-to-table sync point.
 
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock};
 
 /// A timestamped record log, generic over the record payload.
 ///
@@ -37,7 +37,7 @@ impl<T: Clone> EventLog<T> {
 
     /// Append one record at a timestamp (thread-safe).
     pub fn append(&self, timestamp: i64, record: T) {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let seq = inner.next_seq;
         inner.next_seq += 1;
         inner.records.insert((timestamp, seq), record);
@@ -45,7 +45,7 @@ impl<T: Clone> EventLog<T> {
 
     /// Append many records.
     pub fn append_batch(&self, records: impl IntoIterator<Item = (i64, T)>) {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         for (t, r) in records {
             let seq = inner.next_seq;
             inner.next_seq += 1;
@@ -55,7 +55,7 @@ impl<T: Clone> EventLog<T> {
 
     /// All records with timestamps in `[start, end)`, in time order.
     pub fn query_range(&self, start: i64, end: i64) -> Vec<(i64, T)> {
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         inner
             .records
             .range((start, 0)..(end, 0))
@@ -65,7 +65,7 @@ impl<T: Clone> EventLog<T> {
 
     /// Total number of records.
     pub fn len(&self) -> usize {
-        self.inner.read().records.len()
+        self.inner.read().unwrap_or_else(PoisonError::into_inner).records.len()
     }
 
     /// Whether the log is empty.
@@ -76,7 +76,7 @@ impl<T: Clone> EventLog<T> {
     /// Remove and return every record up to (excluding) `before` — the
     /// daily "synchronize to MaxCompute then truncate" step.
     pub fn drain_until(&self, before: i64) -> Vec<(i64, T)> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let keep = inner.records.split_off(&(before, 0));
         let drained = std::mem::replace(&mut inner.records, keep);
         drained.into_iter().map(|((t, _), r)| (t, r)).collect()

@@ -44,15 +44,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The column type this value belongs to.
-    pub fn column_type(&self) -> ColumnType {
-        match self {
-            Value::Int(_) => ColumnType::Int,
-            Value::Float(_) => ColumnType::Float,
-            Value::Str(_) => ColumnType::Str,
-        }
-    }
-
     /// Integer view (errors on other types).
     pub fn as_int(&self) -> Result<i64> {
         match self {
@@ -275,14 +266,6 @@ impl Table {
             col.push(v)?;
         }
         self.rows += 1;
-        Ok(())
-    }
-
-    /// Append many rows.
-    pub fn extend_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
-        for r in rows {
-            self.push_row(r)?;
-        }
         Ok(())
     }
 
@@ -559,22 +542,6 @@ impl PackedTable {
         match self.column(name)? {
             ColumnArc::Float(p) => Ok(p.clone()),
             _ => Err(SparkError::schema(format!("column '{name}' is not a float column"))),
-        }
-    }
-
-    /// Integer column by name as a shared partition (`Arc` bump).
-    pub fn ints(&self, name: &str) -> Result<Partition<i64>> {
-        match self.column(name)? {
-            ColumnArc::Int(p) => Ok(p.clone()),
-            _ => Err(SparkError::schema(format!("column '{name}' is not an int column"))),
-        }
-    }
-
-    /// String column by name as a shared partition (`Arc` bump).
-    pub fn strs(&self, name: &str) -> Result<Partition<String>> {
-        match self.column(name)? {
-            ColumnArc::Str(p) => Ok(p.clone()),
-            _ => Err(SparkError::schema(format!("column '{name}' is not a string column"))),
         }
     }
 
